@@ -16,7 +16,10 @@ The cache has two layers:
   disk layer can be bounded (``max_entries`` /
   ``REPRO_CACHE_MAX_ENTRIES``): past the bound the least recently
   *used* record files are evicted — reads refresh a file's mtime, so
-  a hot working set survives churn.
+  a hot working set survives churn.  A bounded cache keeps its LRU
+  order in memory and re-seeds it from an mtime-ordered directory scan
+  once every ``max_entries`` writes, so a write costs O(1) file-system
+  calls on average, and records other processes add still count.
 
 Keys are SHA-256 hashes; the config contributes via
 :meth:`repro.soc.config.SoCConfig.digest`, so *any* microarchitectural
@@ -34,6 +37,7 @@ layout can evolve without invalidating measured points and vice versa.
 
 from __future__ import annotations
 
+import collections
 import hashlib
 import json
 import os
@@ -148,6 +152,13 @@ class SweepCache:
         #: Disk-layer record files removed by the LRU bound, lifetime
         #: of this instance (the ``--stats`` eviction figure).
         self.evictions = 0
+        #: Keys of the disk layer's record files, least recently used
+        #: first; ``None`` until the first bounded write scans the
+        #: directory (an unbounded cache never builds it).
+        self._lru: typing.Optional[
+            typing.OrderedDict[str, None]] = None
+        #: Bounded writes since ``_lru`` was last scanned.
+        self._writes_since_scan = 0
 
     def __len__(self) -> int:
         return len(self._memory)
@@ -229,6 +240,8 @@ class SweepCache:
             os.utime(path)
         except OSError:
             pass
+        if self._lru is not None:
+            self._touch(key)
         return record
 
     def _read_disk(self, key: str) -> typing.Optional[SweepPoint]:
@@ -310,38 +323,59 @@ class SweepCache:
         with open(temp, "w") as handle:
             json.dump(record, handle)
         os.replace(temp, path)
-        self._enforce_bound()
+        self._enforce_bound(key)
 
-    def _enforce_bound(self) -> None:
-        """Evict least-recently-used record files past ``max_entries``.
+    def _touch(self, key: str) -> None:
+        """Mark ``key``'s record file most recently used in the index."""
+        self._lru[key] = None
+        self._lru.move_to_end(key)
 
-        Recency is file mtime: reads refresh it (:meth:`_load_json`),
-        writes set it.  Races with concurrent sweeps are benign — an
-        eviction of a record another process just re-read costs that
-        process one re-measurement, never a wrong result — and every
-        per-file ``OSError`` is swallowed for the same reason.
-        """
-        if self.max_entries is None:
-            return
+    def _scan(self) -> typing.OrderedDict[str, None]:
+        """Keys of the directory's record files, oldest mtime first
+        (ties by name): the LRU index as it starts out."""
         try:
             names = os.listdir(self.directory)
         except OSError:
-            return
-        entries = [name for name in names if name.endswith(".json")]
-        excess = len(entries) - self.max_entries
-        if excess <= 0:
-            return
+            names = []
         stamped = []
-        for name in entries:
-            path = os.path.join(self.directory, name)
+        for name in names:
+            if not name.endswith(".json"):
+                continue
             try:
-                stamped.append((os.path.getmtime(path), name))
+                stamped.append(
+                    (os.path.getmtime(os.path.join(self.directory, name)),
+                     name))
             except OSError:
                 continue
-        stamped.sort()
-        for _mtime, name in stamped[:excess]:
+        return collections.OrderedDict(
+            (name[:-len(".json")], None) for _mtime, name in sorted(stamped))
+
+    def _enforce_bound(self, written: str) -> None:
+        """Evict least-recently-used record files past ``max_entries``.
+
+        Recency is file mtime when the directory is scanned, then this
+        instance's own reads and writes (:meth:`_touch`), which also
+        refresh the mtime other processes see.  The scan is repeated
+        every ``max_entries`` writes, so files other processes added
+        meanwhile count against the bound too.  Races with
+        concurrent sweeps are benign — an eviction of a record another
+        process just re-read costs that process one re-measurement,
+        never a wrong result — so every per-file ``OSError`` is
+        swallowed, and a file another process already removed just
+        leaves the index.
+        """
+        if self.max_entries is None:
+            return
+        if (self._lru is None
+                or self._writes_since_scan >= self.max_entries):
+            self._lru = self._scan()
+            self._writes_since_scan = 0
+        self._writes_since_scan += 1
+        self._touch(written)
+        while len(self._lru) > self.max_entries:
+            key, _ = self._lru.popitem(last=False)
             try:
-                os.remove(os.path.join(self.directory, name))
+                os.remove(self._path(key))
             except OSError:
                 continue
             self.evictions += 1

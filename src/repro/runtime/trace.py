@@ -14,7 +14,7 @@ import dataclasses
 import typing
 
 from repro.errors import TraceError
-from repro.sim import TraceRecorder
+from repro.sim import TraceRecord, TraceRecorder
 
 
 @dataclasses.dataclass(frozen=True)
@@ -91,6 +91,20 @@ class OffloadTrace:
         }
 
 
+def _first_at_or_after(records: typing.Sequence[TraceRecord],
+                       cycle: int) -> int:
+    """Index of the first record at or after ``cycle`` in a time-ordered
+    log (``bisect_left`` keyed on the cycle, which Python 3.9 lacks)."""
+    lo, hi = 0, len(records)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if records[mid].cycle < cycle:
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo
+
+
 def build_offload_trace(recorder: TraceRecorder, start_cycle: int,
                         end_cycle: int) -> OffloadTrace:
     """Assemble an :class:`OffloadTrace` from a recorder's markers.
@@ -116,15 +130,20 @@ def build_offload_trace(recorder: TraceRecorder, start_cycle: int,
     # One pass over the window builds the same first-record-wins index
     # the per-source scans used to recompute per cluster (the scans were
     # O(clusters x records), the dominant cost of summarizing a wide
-    # offload).
+    # offload).  Records are stamped with the simulator clock as they
+    # are appended (reset and restore keep that order), so the window
+    # is a contiguous slice found by bisection: a system reused for a
+    # long job stream pays for this offload's records, not its history.
+    records = recorder.records
+    window = records[_first_at_or_after(records, start_cycle):
+                     _first_at_or_after(records, end_cycle)]
     by_source: typing.Dict[str, typing.Dict[str, int]] = {}
-    for record in recorder.records:
-        if start_cycle <= record.cycle < end_cycle:
-            marks = by_source.get(record.source)
-            if marks is None:
-                by_source[record.source] = marks = {}
-            if record.label not in marks:
-                marks[record.label] = record.cycle
+    for record in window:
+        marks = by_source.get(record.source)
+        if marks is None:
+            by_source[record.source] = marks = {}
+        if record.label not in marks:
+            marks[record.label] = record.cycle
 
     host_marks = by_source.get("host", {})
 

@@ -1,24 +1,17 @@
 """Virtual-time occupancy of the cluster fabric.
 
-The traffic engine never event-simulates contention: it treats the
-fabric's M clusters as a reservable resource over *virtual time* (the
-arrival clock, in cycles).  A job admitted at width m for d cycles
-holds m clusters for the interval ``[start, start + d)``;
-:meth:`FabricOccupancy.earliest_start` answers the scheduling question
-"from when could m clusters run for d cycles without exceeding
-capacity", which is what the admission loop needs to test a candidate
-width against a deadline.
-
-The candidate start times are the query's ``not_before`` plus every
-existing reservation's end — between those instants concurrent usage
-can only stay flat or rise, so the earliest feasible start is always
-one of them.  Reservations that ended before the current arrival are
-pruned as the clock advances (admission proceeds in arrival order), so
-the active set stays small even for long scenarios.
+The traffic engine treats the M clusters as a resource reserved over
+*virtual time* (the arrival clock, in cycles), kept as a step-function
+*skyline*: sorted breakpoints and per-segment usage, equal neighbours
+merged, so back-to-back full-width reservations become one segment.  A
+query sweeps the segments after ``not_before`` once.  Under overload the
+skyline grows with the backlog; pruning only drops the past.
 """
 
 from __future__ import annotations
 
+import bisect
+import heapq
 import typing
 
 from repro.errors import TrafficError
@@ -32,69 +25,83 @@ class FabricOccupancy:
             raise TrafficError(
                 f"fabric capacity must be positive, got {num_clusters}")
         self.capacity = int(num_clusters)
-        #: Active reservations as ``(start, end, clusters)``; ``end``
-        #: exclusive.  Kept unordered — queries scan it.
-        self._reservations: typing.List[typing.Tuple[int, int, int]] = []
-        #: Total cluster-cycles ever reserved (for utilization metrics).
-        self.busy_cluster_cycles = 0
+        #: Breakpoints (sorted); ``_usage[i]`` busy from ``_times[i]`` on.
+        self._times: typing.List[int] = []
+        self._usage: typing.List[int] = []
+        self._ends: typing.List[int] = []   # live reservations' ends, a heap
+        self.busy_cluster_cycles = 0   # ever reserved, for utilization
 
     def __len__(self) -> int:
-        return len(self._reservations)
+        return len(self._ends)
+
+    def _segment(self, t: int) -> int:
+        """Index of the segment holding ``t`` (0 before the first)."""
+        return max(bisect.bisect_right(self._times, t) - 1, 0)
 
     def prune(self, now: int) -> None:
-        """Drop reservations that ended at or before ``now``.
-
-        Safe once no future query's ``not_before`` can precede ``now``
-        — i.e. when admission runs in arrival order.
-        """
-        self._reservations = [
-            entry for entry in self._reservations if entry[1] > now]
+        """Drop reservations that ended by ``now``; safe once no later
+        query's ``not_before`` precedes ``now`` (arrival-order admission)."""
+        while self._ends and self._ends[0] <= now:
+            heapq.heappop(self._ends)
+        first = self._segment(now)
+        del self._times[:first]
+        del self._usage[:first]
 
     def peak_usage(self, start: int, end: int) -> int:
         """Maximum concurrent cluster usage over ``[start, end)``."""
         if end <= start:
             return 0
-        points = {start}
-        for s, e, _m in self._reservations:
-            if s < end and e > start:
-                points.add(max(s, start))
-        peak = 0
-        for t in points:
-            usage = sum(m for s, e, m in self._reservations if s <= t < e)
-            peak = max(peak, usage)
-        return peak
+        first = self._segment(start)
+        last = bisect.bisect_left(self._times, end)
+        return max(self._usage[first:last], default=0)
 
     def earliest_start(self, not_before: int, duration: int, m: int) -> int:
-        """Earliest ``t >= not_before`` fitting ``m`` clusters for
-        ``duration`` cycles."""
+        """Earliest ``t >= not_before`` fitting m clusters for ``duration``."""
         if m <= 0:
             raise TrafficError(f"reservation width must be positive, got {m}")
         if m > self.capacity:
             raise TrafficError(
                 f"cannot reserve {m} clusters on a {self.capacity}-cluster "
                 "fabric")
+        start = int(not_before)
         if duration <= 0:
-            return int(not_before)
-        candidates = sorted(
-            {int(not_before)}
-            | {e for _s, e, _m in self._reservations if e > not_before})
-        for t in candidates:
-            if self.peak_usage(t, t + duration) + m <= self.capacity:
-                return t
-        raise TrafficError(   # pragma: no cover - the last candidate
-            "no feasible start found")  # (all reservations ended) fits
+            return start
+        limit = self.capacity - m
+        times = self._times
+        for i in range(self._segment(start), len(times)):
+            if times[i] >= start + duration:
+                break
+            if self._usage[i] > limit:
+                start = times[i + 1]   # the last segment's usage is 0
+        return start
 
     def reserve(self, start: int, duration: int, m: int) -> None:
         """Commit ``m`` clusters for ``[start, start + duration)``."""
         if duration <= 0:
             raise TrafficError(
                 f"reservation duration must be positive, got {duration}")
-        if self.peak_usage(start, start + duration) + m > self.capacity:
+        if m <= 0:
+            raise TrafficError(f"reservation width must be positive, got {m}")
+        start, end, m = int(start), int(start + duration), int(m)
+        if self.peak_usage(start, end) + m > self.capacity:
             raise TrafficError(
                 f"reserving {m} clusters at cycle {start} would exceed the "
                 f"{self.capacity}-cluster fabric")
-        self._reservations.append((int(start), int(start + duration), int(m)))
-        self.busy_cluster_cycles += int(m) * int(duration)
+        times, usage = self._times, self._usage
+        for t in (end, start):   # make both ends breakpoints
+            i = bisect.bisect_left(times, t)
+            if i == len(times) or times[i] != t:
+                times.insert(i, t)
+                usage.insert(i, usage[i - 1] if i else 0)
+        first = bisect.bisect_left(times, start)
+        last = bisect.bisect_left(times, end, first)
+        usage[first:last] = [u + m for u in usage[first:last]]
+        for i in (last, first):   # merge equal neighbours, right one first
+            if usage[i] == (usage[i - 1] if i else 0):
+                del times[i]
+                del usage[i]
+        heapq.heappush(self._ends, end)
+        self.busy_cluster_cycles += m * int(duration)
 
     def utilization(self, horizon_cycles: int) -> float:
         """Fraction of cluster-cycles busy over ``[0, horizon)``."""

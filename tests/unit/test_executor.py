@@ -1,6 +1,7 @@
 """Unit tests for the sweep executor and the content-addressed cache."""
 
 import json
+import math
 import os
 
 import pytest
@@ -239,6 +240,91 @@ def test_lru_reads_refresh_recency(tmp_path):
     # Record 1 (stale mtime) was evicted; the freshly read 0 survived.
     assert names == {f"{0:064x}.json", f"{2:064x}.json"}
     assert reader.evictions == 1
+
+
+def record_names(directory):
+    return {name for name in os.listdir(directory) if name.endswith(".json")}
+
+
+def test_bounded_writes_list_the_directory_once_per_bound(tmp_path,
+                                                         monkeypatch):
+    directory = str(tmp_path / "cache")
+    listings = []
+    real_listdir = os.listdir
+
+    def counting_listdir(path="."):
+        if os.path.abspath(path) == os.path.abspath(directory):
+            listings.append(path)
+        return real_listdir(path)
+
+    monkeypatch.setattr(os, "listdir", counting_listdir)
+    cache = SweepCache(directory, max_entries=8)
+    for i in range(300):
+        cache.put_record(f"{i:064x}", "prefix", {"value": i})
+        if i % 3 == 0:   # reads refresh recency without a listing
+            assert cache.get_record(f"{i:064x}", "prefix") is not None
+    # The index is re-seeded once every max_entries writes, not per write.
+    assert len(listings) == math.ceil(300 / 8)
+    assert cache.evictions == 300 - 8
+    monkeypatch.setattr(os, "listdir", real_listdir)
+    assert record_names(directory) == {f"{i:064x}.json"
+                                       for i in range(292, 300)}
+
+
+def test_eviction_order_is_the_mtime_order_of_the_directory(tmp_path):
+    # Files another process left behind, with mtimes in shuffled order:
+    # a bounded cache opened on them evicts oldest mtime first, as a
+    # full directory scan per write did.
+    directory = str(tmp_path / "cache")
+    ages = [7, 2, 9, 0, 5, 1, 8, 3, 6, 4]
+    writer = SweepCache(directory)
+    for i, age in enumerate(ages):
+        writer.put_record(f"{i:064x}", "prefix", {"value": i})
+        path = os.path.join(directory, f"{i:064x}.json")
+        stamp = os.path.getmtime(path) - 1000 + age
+        os.utime(path, (stamp, stamp))
+    bounded = SweepCache(directory, max_entries=len(ages))
+    evicted = []
+    for j in range(len(ages)):
+        before = record_names(directory)
+        bounded.put_record(f"{100 + j:064x}", "prefix", {"value": j})
+        evicted += sorted(before - record_names(directory))
+    oldest_first = sorted(range(len(ages)), key=ages.__getitem__)
+    assert evicted == [f"{i:064x}.json" for i in oldest_first]
+    assert bounded.evictions == len(ages)
+
+
+def test_bound_counts_files_another_cache_adds(tmp_path):
+    # Two bounded sweeps share one directory, writing in turn.  Each
+    # cache's index misses the other's files only until its next scan,
+    # once every max_entries writes, so the directory never holds more
+    # than twice the bound and is cut back to it at every such scan.
+    directory = str(tmp_path / "cache")
+    first = SweepCache(directory, max_entries=8)
+    second = SweepCache(directory, max_entries=8)
+    for i in range(100):
+        first.put_record(f"{2 * i:064x}", "prefix", {"value": i})
+        if i % 8 == 0 and i:
+            assert len(record_names(directory)) == 8
+        second.put_record(f"{2 * i + 1:064x}", "prefix", {"value": i})
+        assert len(record_names(directory)) <= 2 * 8
+    assert first.evictions + second.evictions == 200 - len(
+        record_names(directory))
+
+
+def test_bounded_cache_tolerates_files_removed_elsewhere(tmp_path):
+    directory = str(tmp_path / "cache")
+    cache = SweepCache(directory, max_entries=4)
+    for i in range(6):
+        cache.put_record(f"{i:064x}", "prefix", {"value": i})
+    for name in record_names(directory):   # another process clears it
+        os.remove(os.path.join(directory, name))
+    for i in range(6, 12):
+        cache.put_record(f"{i:064x}", "prefix", {"value": i})
+    assert record_names(directory) == {f"{i:064x}.json"
+                                       for i in range(8, 12)}
+    # Only the files this cache really removed count as evictions.
+    assert cache.evictions == 2 + 2
 
 
 def test_max_entries_defaults_to_the_environment(tmp_path, monkeypatch):

@@ -1,13 +1,16 @@
 """Unit tests for the offload runtimes (variants, protocol, trace)."""
 
+import types
+
 import pytest
 
 from repro import abi
-from repro.core.offload import offload_daxpy
+from repro.core.offload import offload, offload_daxpy
 from repro.errors import OffloadError, TraceError
 from repro.noc.packet import TransactionKind
 from repro.runtime import OffloadRuntime, RUNTIME_VARIANTS, make_runtime
 from repro.runtime.trace import build_offload_trace
+from repro.sim import TraceRecord
 from repro.soc.config import SoCConfig
 from repro.soc.manticore import ManticoreSystem
 
@@ -186,6 +189,65 @@ def test_trace_window_is_half_open():
     with pytest.raises(TraceError, match="dispatch_start"):
         # The next window sees only its own descriptor_written marker.
         build_offload_trace(recorder, 50, 60)
+
+
+def linear_scan_trace(recorder, start_cycle, end_cycle):
+    """The trace built from a linear scan of the whole log for the
+    window (the reference the bisected window must match), or the
+    TraceError message."""
+    window = types.SimpleNamespace(records=[
+        record for record in recorder.records
+        if start_cycle <= record.cycle < end_cycle])
+    return trace_or_error(window, start_cycle, end_cycle)
+
+
+def trace_or_error(recorder, start_cycle, end_cycle):
+    try:
+        return build_offload_trace(recorder, start_cycle, end_cycle)
+    except TraceError as error:
+        return str(error)
+
+
+def test_trace_windows_on_a_long_reused_log_match_a_linear_scan():
+    # Back-to-back windows sharing their boundary cycles, each with
+    # markers exactly on start_cycle (inside) and end_cycle (the next
+    # window's), and duplicates that first-record-wins must resolve.
+    records = []
+    host = ("descriptor_written", "dispatch_start", "dispatch_done")
+    cluster = ("doorbell", "awake", "decoded", "completion_signalled")
+    for window in range(300):
+        start = 10 * window
+        records += [TraceRecord(start, "host", label, None)
+                    for label in ("offload_start",) + host]
+        records += [TraceRecord(start + 3, "cluster1", label, None)
+                    for label in cluster[:window % 5]]
+        records.append(TraceRecord(start + 9, "host", "dispatch_done",
+                                   {"duplicate": True}))
+    recorder = types.SimpleNamespace(records=records)
+    for start, end in [(10 * w, 10 * w + 10) for w in range(300)] + [
+            (0, 1), (5, 10), (10, 10), (2990, 4000), (-5, 0), (15, 25)]:
+        assert (trace_or_error(recorder, start, end)
+                == linear_scan_trace(recorder, start, end)), (start, end)
+
+
+def test_reused_system_traces_match_a_linear_scan():
+    # 210 offloads on one system: each trace, built when its offload
+    # finished from a bisected window of the growing log, equals the
+    # linear scan of the final log.  Stray host markers between
+    # offloads land on the next offload's start_cycle.
+    system = ext_system()
+    results = []
+    for index in range(210):
+        if index % 7 == 0:
+            system.trace.record("host", "dispatch_start", {"stray": index})
+        results.append(offload(
+            system, ("daxpy", "memcpy", "scale")[index % 3],
+            n=16 * (1 + index % 9), num_clusters=1 + index % 8,
+            seed=index, verify=False))
+    assert len(system.trace.records) > 20 * len(results)
+    for result in results:
+        assert result.trace == linear_scan_trace(
+            system.trace, result.start_cycle, result.end_cycle)
 
 
 def test_trace_error_names_missing_cluster_marker():
