@@ -160,8 +160,25 @@ def encode_descriptor(desc: JobDescriptor) -> typing.List[int]:
     return words
 
 
+#: Most distinct descriptors :func:`decode_descriptor` remembers.  An
+#: offload's M clusters decode the same words back to back, so a small
+#: bound keeps every live job's entry; concurrent launches hold a few.
+DECODE_MEMO_SIZE = 64
+
+_decode_memo: typing.Dict[typing.Tuple[int, ...],
+                          typing.Tuple[Kernel, JobDescriptor]] = {}
+
+
 def decode_descriptor(words: typing.Sequence[int]) -> JobDescriptor:
     """Parse the word list a DM core fetched back into a descriptor.
+
+    Decoding is a pure function of the words and of the kernel their
+    ID names, so results are memoized on the word tuple (at most
+    :data:`DECODE_MEMO_SIZE` entries, oldest evicted first): every
+    cluster of an offload fetches identical words, and only the first
+    pays for parsing and validation.  A hit is reused only while the ID
+    still names the same kernel (registering a kernel renumbers the
+    sorted registry), and failures are not memoized.
 
     Raises
     ------
@@ -171,7 +188,20 @@ def decode_descriptor(words: typing.Sequence[int]) -> JobDescriptor:
     if len(words) < _HEADER_WORDS:
         raise OffloadError(
             f"descriptor truncated: {len(words)} < {_HEADER_WORDS} words")
-    kernel = kernel_from_id(words[0])
+    key = tuple(words)
+    kernel = kernel_from_id(key[0])
+    hit = _decode_memo.get(key)
+    if hit is not None and hit[0] is kernel:
+        return hit[1]
+    desc = _decode(kernel, key)
+    if hit is None and len(_decode_memo) >= DECODE_MEMO_SIZE:
+        del _decode_memo[next(iter(_decode_memo))]
+    _decode_memo[key] = (kernel, desc)
+    return desc
+
+
+def _decode(kernel: Kernel, words: typing.Tuple[int, ...]) -> JobDescriptor:
+    """Uncached :func:`decode_descriptor` of words naming ``kernel``."""
     (n, num_clusters, first_cluster, sync_mode, completion_addr, exec_mode,
      num_scalars) = words[1:8]
     if num_scalars != len(kernel.scalar_names):

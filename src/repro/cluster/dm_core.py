@@ -26,11 +26,12 @@ from __future__ import annotations
 import typing
 
 from repro import abi, flags
-from repro.errors import OffloadError
+from repro.errors import OffloadError, ProtocolError
 from repro.kernels.base import WorkSlice, split_range
 
 if typing.TYPE_CHECKING:
     from repro.cluster.cluster import Cluster
+    from repro.sim import Event
 
 #: Words fetched by the first descriptor burst (one 64-byte line).
 FIRST_BURST_WORDS = 8
@@ -43,13 +44,21 @@ def serve_jobs(cluster: "Cluster") -> typing.Generator:
     — doorbell, descriptor fetch, fabric barrier, DMA staging, compute
     phase, completion — into this single generator frame, parking on
     the same events the reference helpers park on.  A generator resume
-    re-activates every frame in its ``yield from`` chain, so with ~5-9
+    re-activates every frame in its ``yield from`` chain, so with ~4-8
     parks per job the two-to-four-deep helper chain is the dominant
     per-job interpreter cost; the flat frame pays for one activation
     per park.  Cycle- and order-identity with the reference is by
     construction: both paths issue the identical primitive calls (the
     non-generator forms ``job_event`` / ``book_arrival`` /
     ``reserve_in`` / ``compute_phase_fast``) in the identical order.
+
+    The DM core's own control traffic is the exception: it is
+    committed in closed form rather than replayed call for call.  The
+    two descriptor bursts (``cluster_fetch_block``) and the decode are
+    one park, and the sync-unit completion store
+    (``cluster_write_posted``) is one delivery entry instead of an
+    event chain; ``docs/architecture.md`` §11 argues why nothing can
+    observe the skipped cycles.
 
     The ``REPRO_NAIVE_CHANNEL`` / ``REPRO_NAIVE_BARRIER`` gates and the
     double-buffered exec mode delegate to the reference helpers
@@ -66,6 +75,8 @@ def serve_jobs(cluster: "Cluster") -> typing.Generator:
     wake_latency = cluster.wake_latency
     decode_cycles = cluster.dm_decode_cycles
     fabric = cluster.fabric_barrier
+    sim = cluster.sim
+    decoded_name = f"{label}.decoded"
     while True:
         pointer = yield mailbox.job_event()
         if flags.naive_channel() or flags.naive_barrier():
@@ -79,19 +90,25 @@ def serve_jobs(cluster: "Cluster") -> typing.Generator:
             yield wake_latency
         record(label, "awake")
 
-        # Fetch and decode the descriptor (see _fetch_descriptor).
-        first = yield noc.cluster_read_burst(
-            cluster_id, pointer, FIRST_BURST_WORDS)
-        total = abi.descriptor_words(abi.kernel_from_id(first[0]))
-        words = list(first)
-        if total > FIRST_BURST_WORDS:
-            rest = yield noc.cluster_read_burst(
-                cluster_id, pointer + 8 * FIRST_BURST_WORDS,
-                total - FIRST_BURST_WORDS)
-            words.extend(rest)
-        desc = abi.decode_descriptor(words[:total])
-        if decode_cycles:
-            yield decode_cycles
+        # Fetch and decode the descriptor (see _fetch_descriptor) in
+        # one park: both bursts are committed in closed form, and the
+        # words are safe to read now because the host stores every
+        # descriptor before ringing any doorbell.
+        fetched = noc.cluster_fetch_block(
+            cluster_id, pointer, FIRST_BURST_WORDS, _descriptor_total)
+        if fetched is None:
+            desc = yield from _fetch_descriptor(cluster, pointer)
+            if decode_cycles:
+                yield decode_cycles
+        else:
+            words, delay = fetched
+            desc = abi.decode_descriptor(words)
+            decoded = sim.event(name=decoded_name)
+            sim.schedule(delay, _start_decode, (decoded, decode_cycles))
+            yield decoded
+            if flags.strict():
+                _check_descriptor_unchanged(cluster, pointer, words, delay
+                                            + decode_cycles)
         record(label, "decoded", desc.kernel_name)
 
         kernel = desc.kernel
@@ -139,14 +156,66 @@ def serve_jobs(cluster: "Cluster") -> typing.Generator:
                         desc.output_addrs[name] + 8 * start, values)
                 record(label, "dma_out_done", bytes_out)
 
-        # Signal completion (see _signal_completion).
+        # Signal completion (see _signal_completion); the posted store
+        # is committed in closed form, its delivery one scheduler entry.
         if desc.sync_mode == abi.SYNC_MODE_AMO:
             yield noc.cluster_amo_add(cluster_id, desc.completion_addr, 1)
         else:
-            yield noc.cluster_write(
-                cluster_id, desc.completion_addr, 1).issued
+            yield noc.cluster_write_posted(
+                cluster_id, desc.completion_addr, 1)
         record(label, "completion_signalled")
         cluster.jobs_completed += 1
+
+
+def _descriptor_total(first: typing.List[int]) -> typing.Optional[int]:
+    """A descriptor's length in words from its first burst.
+
+    ``None`` for an unknown kernel id: the closed-form fetch then
+    declines, and the burst events raise at the cycle they always did.
+    """
+    try:
+        return abi.descriptor_words(abi.kernel_from_id(first[0]))
+    except OffloadError:
+        return None
+
+
+def _start_decode(payload: typing.Tuple["Event", int]) -> None:
+    """Scheduler hop at a closed-form fetch's last response cycle.
+
+    The reference DM core starts its decode timer on that cycle, so the
+    timer entry is created here rather than when the fetch committed:
+    a decode finishing on the same cycle as another cluster's then
+    keeps its reference order even when the two descriptors (and so
+    the two fetch delays) differ in length.
+    """
+    decoded, cycles = payload
+    decoded.sim.schedule(cycles, _fire_decoded, decoded)
+
+
+def _fire_decoded(decoded: "Event") -> None:
+    """Scheduler callback: the decode is done; resume the DM core."""
+    decoded.trigger(decoded.sim.now)
+
+
+def _check_descriptor_unchanged(cluster: "Cluster", pointer: int,
+                                words: typing.List[int],
+                                parked: int) -> None:
+    """Strict-mode audit of a closed-form descriptor fetch.
+
+    The fetch read the words when it was committed, ``parked`` cycles
+    ago; the bursts it replaced read them later.  Both agree only if
+    nothing rewrote the descriptor in between, which the offload
+    protocol guarantees and this check enforces.
+    """
+    now = cluster.sim.now
+    # The fetch committed, so the words lie in one plain-memory region.
+    region = cluster.noc.address_map.region_at(pointer)
+    if region.target.read_words(pointer, len(words)) != words:
+        raise ProtocolError(
+            f"cluster{cluster.cluster_id}: the job descriptor at "
+            f"{pointer:#x} changed between its fetch at cycle "
+            f"{now - parked} and its decode at cycle {now}; descriptors "
+            "must not be rewritten while a job is in flight")
 
 
 def _work_slice(cluster: "Cluster", desc: abi.JobDescriptor,

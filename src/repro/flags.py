@@ -13,7 +13,10 @@ variable                  effect
                           watchpoint fast-forward
 ``REPRO_NAIVE_CHANNEL``   DMA engines simulate the setup delay and the
                           shared-channel transfer as separate scheduler
-                          events instead of one analytic reservation
+                          events instead of one analytic reservation;
+                          DM cores fetch descriptors and post their
+                          completion stores as event chains instead of
+                          closed-form port commits
 ``REPRO_NAIVE_BARRIER``   cluster compute phases spawn one process per
                           worker core and fabric-barrier arrivals pay
                           their wire latency as simulated waits,
@@ -83,9 +86,10 @@ NAIVE_POLL_ENV = "REPRO_NAIVE_POLL"
 
 #: Environment variable: when set (non-empty), DMA engines pay their
 #: setup delay and shared-channel transfer as two separate simulated
-#: waits instead of committing a single analytic channel reservation.
-#: Used by the A/B property tests proving the reservation fast path is
-#: cycle-exact.
+#: waits instead of committing a single analytic channel reservation,
+#: and DM cores restore the event-chain descriptor fetch and completion
+#: store.  Used by the A/B property tests proving the reservation and
+#: DM-core closed forms are cycle-exact.
 NAIVE_CHANNEL_ENV = "REPRO_NAIVE_CHANNEL"
 
 #: Environment variable: when set (non-empty), cluster compute phases
@@ -178,7 +182,8 @@ def naive_poll() -> bool:
 
 
 def naive_channel() -> bool:
-    """Whether ``REPRO_NAIVE_CHANNEL`` forces per-event DMA timing."""
+    """Whether ``REPRO_NAIVE_CHANNEL`` forces per-event DMA and DM-core
+    control-traffic timing."""
     return _enabled(NAIVE_CHANNEL_ENV)
 
 

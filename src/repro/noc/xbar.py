@@ -27,7 +27,7 @@ import typing
 
 import numpy
 
-from repro.errors import ConfigError
+from repro.errors import ConfigError, MemoryError_
 from repro.mem.map import AddressMap, MmioDevice
 from repro.noc.packet import Transaction, TransactionKind
 from repro.sim import Event, SerialResource, Simulator
@@ -196,6 +196,16 @@ def _trigger_at_now(event: Event) -> None:
     event.trigger(event.sim.now)
 
 
+def _deliver_posted(payload: typing.Tuple[typing.Any, int, int]) -> None:
+    """Scheduler callback: a closed-form posted store reaches its target.
+
+    Runs at the cycle :meth:`_StoreFlight._deliver` would, and performs
+    the same routed write (MMIO side effects and watchpoints included).
+    """
+    router, addr, value = payload
+    router.write_word(addr, value)
+
+
 @dataclasses.dataclass(frozen=True)
 class WriteHandle:
     """The three milestones of a store.
@@ -247,6 +257,11 @@ class Interconnect:
         #: ``ManticoreSystem.fastforward_stats``.
         self.ff_store_runs = 0
         self.ff_stores = 0
+        #: DM-core control traffic committed in closed form: descriptor
+        #: fetches (:meth:`cluster_fetch_block`) and posted completion
+        #: stores (:meth:`cluster_write_posted`).
+        self.ff_descriptor_fetches = 0
+        self.ff_posted_stores = 0
         # Per-initiator routing handles: each port keeps its own
         # last-region hit slot, so one cluster's descriptor burst cannot
         # evict the host's completion-flag region from a shared cache.
@@ -483,11 +498,113 @@ class Interconnect:
             requests=count, busy_cycles=count * occupancy,
             next_free=first_issue + (count - 1) * period + occupancy)
 
+    def cluster_fetch_block(
+            self, cluster_id: int, addr: int, first_words: int,
+            size_of: typing.Callable[[typing.List[int]],
+                                     typing.Optional[int]]
+    ) -> typing.Optional[typing.Tuple[typing.List[int], int]]:
+        """Commit a two-burst block fetch on a cluster port in closed form.
+
+        The reference fetch is ``cluster_read_burst(addr, first_words)``
+        and, once its data is back, a second burst for the tail when
+        ``size_of(first)`` (the block's total length in words) exceeds
+        ``first_words``.  This charges the private cluster port exactly
+        the occupancy and request count of those bursts, logs each READ
+        at its true issue cycle (the tail at the first burst's response
+        cycle), and returns ``(words, delay)``: the first
+        ``max(total, first_words)`` words and the cycles until the last
+        response arrives.  No scheduler entry is created; the caller
+        parks for ``delay``.
+
+        The words are read at commit time rather than when each burst
+        reaches its target, so the caller must know nothing writes the
+        block in between (job descriptors: the host stores them all
+        before the first doorbell).  Nothing but the owning DM core
+        uses a cluster port, so no foreign request can observe the
+        skipped cycles.  Refuses (returns ``None`` with no side
+        effect; the caller runs the burst events) unless the whole
+        block lies inside one plain-memory region and ``size_of``
+        returns a length (``None`` marks words it cannot size).
+        """
+        port = self._cluster_port(cluster_id)
+        router = self._cluster_routers[cluster_id]
+        try:
+            region = router.region_at(addr)
+        except MemoryError_:
+            return None
+        target = region.target
+        if isinstance(target, MmioDevice) \
+                or addr + 8 * first_words > region.end:
+            return None
+        words = target.read_words(addr, first_words)
+        total = size_of(words)
+        if total is None:
+            return None
+        tail = total - first_words
+        if tail > 0:
+            if addr + 8 * total > region.end:
+                return None
+            words.extend(target.read_words(addr + 8 * first_words, tail))
+        params = self.params
+        occupancy = params.cluster_port_occupancy
+        round_trip = params.request_latency + params.response_latency
+        now = self.sim.now
+        source = self._cluster_labels[cluster_id]
+        finish = port.next_free + occupancy
+        respond = finish + round_trip + first_words - 1
+        log = self.transactions
+        log.append(Transaction(TransactionKind.READ, source, (addr,), None,
+                               False, now))
+        requests = 1
+        if tail > 0:
+            # The tail issues when the first burst's data is back; a
+            # response never precedes its own port release, so the
+            # tail starts at once.
+            log.append(Transaction(TransactionKind.READ, source,
+                                   (addr + 8 * first_words,), None, False,
+                                   respond))
+            finish = respond + occupancy
+            respond = finish + round_trip + tail - 1
+            requests = 2
+        port.charge_bulk(requests=requests,
+                         busy_cycles=requests * occupancy,
+                         next_free=finish)
+        self.ff_descriptor_fetches += 1
+        return words, respond - now
+
+    def cluster_write_posted(self, cluster_id: int, addr: int,
+                             value: int) -> int:
+        """Commit a posted cluster store in closed form; returns the
+        cycles until its port occupancy is released.
+
+        Equivalent to ``cluster_write(...)`` with the initiator parking
+        on ``issued`` and nobody observing ``delivered`` or ``acked``:
+        the port is charged and the WRITE logged now, and one scheduler
+        entry performs the routed write at the cycle
+        :meth:`_StoreFlight._deliver` would, so MMIO side effects (a
+        sync-unit increment and its interrupt) land on the same cycle.
+        """
+        port = self._cluster_port(cluster_id)
+        now = self.sim.now
+        self.transactions.append(Transaction(
+            TransactionKind.WRITE, self._cluster_labels[cluster_id],
+            (addr,), value, False, now))
+        occupancy = self.params.cluster_port_occupancy
+        finish = port.next_free + occupancy
+        port.charge_bulk(requests=1, busy_cycles=occupancy, next_free=finish)
+        self.ff_posted_stores += 1
+        self.sim.schedule(
+            finish - now + self.params.request_latency, _deliver_posted,
+            (self._cluster_routers[cluster_id], addr, value))
+        return finish - now
+
     def reset(self) -> None:
         """Restore boot state: empty transaction log, idle ports."""
         self.transactions.clear()
         self.ff_store_runs = 0
         self.ff_stores = 0
+        self.ff_descriptor_fetches = 0
+        self.ff_posted_stores = 0
         self.host_port.reset()
         self.amo_port.reset()
         for port in self.cluster_ports:
@@ -502,12 +619,15 @@ class Interconnect:
             tuple(self.transactions),
             self.ff_store_runs,
             self.ff_stores,
+            self.ff_descriptor_fetches,
+            self.ff_posted_stores,
         )
 
     def restore(self, state: tuple) -> None:
         """Restore a :meth:`snapshot` (quiescent states only)."""
         (host_port, amo_port, cluster_ports, transactions,
-         self.ff_store_runs, self.ff_stores) = state
+         self.ff_store_runs, self.ff_stores, self.ff_descriptor_fetches,
+         self.ff_posted_stores) = state
         self.host_port.restore(host_port)
         self.amo_port.restore(amo_port)
         for port, pstate in zip(self.cluster_ports, cluster_ports):

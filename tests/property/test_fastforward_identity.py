@@ -28,6 +28,7 @@ import pytest
 from repro.core.concurrent import ConcurrentJob, offload_concurrent
 from repro.core.offload import offload
 from repro.core.overlap import offload_overlapped
+from repro.runtime.trace import build_offload_trace
 from repro.flags import (
     FRESH_SYSTEMS_ENV,
     NAIVE_BARRIER_ENV,
@@ -37,6 +38,7 @@ from repro.flags import (
 from repro.soc.config import SoCConfig
 from repro.soc.manticore import ManticoreSystem
 from repro.soc.pool import SystemPool
+from repro.soc.tiles import SNITCH, TileClass, TileGroup
 
 SETTINGS = hypothesis.settings(
     max_examples=5, deadline=None,
@@ -89,6 +91,11 @@ def _fingerprint(system, runtime_cycles):
         "host_requests": noc.host_port.requests,
         "host_busy": noc.host_port.busy_cycles,
         "amo_requests": noc.amo_port.requests,
+        "cluster_ports": tuple((port.requests, port.busy_cycles)
+                               for port in noc.cluster_ports),
+        "syncunit": (system.syncunit.count,
+                     system.syncunit.interrupts_fired,
+                     system.syncunit.stale_credits),
         "jobs": tuple(c.jobs_completed for c in system.clusters),
         "dma": tuple((c.dma.transfers_in, c.dma.bytes_in,
                       c.dma.transfers_out, c.dma.bytes_out)
@@ -213,6 +220,81 @@ def test_fastforward_skips_simulated_events():
     assert fast_stats["compute_phases"] > 0
     assert fast_stats["barrier_crossings"] == fast_stats["compute_phases"]
     assert fast_stats["fabric_arrivals"] == 4
+
+
+# ----------------------------------------------------------------------
+# Invariant 1 at scale: full-width fabrics, uneven sizes, and the
+# closed-form DM-core control traffic (descriptor fetch, posted store)
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("m", [1, 7, 32])
+@pytest.mark.parametrize("n", [1000, 4095])
+def test_wide_offload_matches_naive_channel(variant, m, n):
+    """32-cluster offloads: the fast side must reproduce every cycle,
+    port charge and per-cluster phase of the reference event chains,
+    and its DM-core closed forms must engage exactly when the gate is
+    clear (the sync-unit store is posted only in the extended design)."""
+    config = getattr(SoCConfig, variant)(num_clusters=32)
+    runs = {}
+    for naive in (True, False):
+        with (_env(NAIVE_CHANNEL_ENV, "1") if naive
+              else contextlib.nullcontext()):
+            system = ManticoreSystem(config)
+            result = offload(system, "daxpy", n, m)
+            trace = build_offload_trace(system.trace, result.start_cycle,
+                                        result.end_cycle)
+            runs[naive] = (_fingerprint(system, result.runtime_cycles),
+                           trace.clusters, trace.phase_summary(),
+                           system.fastforward_stats())
+    (naive_print, naive_phases, naive_summary, naive_stats) = runs[True]
+    (fast_print, fast_phases, fast_summary, fast_stats) = runs[False]
+    assert fast_print == naive_print
+    assert fast_phases == naive_phases
+    assert len(fast_phases) == m
+    assert fast_summary == naive_summary
+    assert naive_stats["descriptor_fetches"] == 0
+    assert naive_stats["posted_stores"] == 0
+    assert fast_stats["descriptor_fetches"] == m
+    assert fast_stats["posted_stores"] == (m if variant == "extended" else 0)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_decode_ties_across_descriptor_lengths_match_naive(variant):
+    """Two concurrent jobs whose decodes finish on the same cycle.
+
+    In the extended design the second job's doorbell rings 8 cycles
+    after the first's, its tiles wake 6 cycles sooner, its ``memcpy``
+    descriptor is 3 words shorter than the first job's ``axpby`` one
+    (3 fewer fetch beats), and its decode takes 1 cycle more: both
+    decodes end on one cycle, although the second job's fetch was
+    issued later and answered sooner.  Their order there decides which
+    start barrier releases first, and so which job wins the shared
+    read channel.  The reference chain orders them by when the last
+    burst responded, not by when the fetch was issued."""
+    slow_decode = TileClass(name="slow_decode", wake_latency=4,
+                            dm_decode_cycles=21)
+    base = getattr(SoCConfig, variant)(num_clusters=4)
+    config = SoCConfig.with_fabric(
+        [TileGroup(name="a", tile=SNITCH, count=2),
+         TileGroup(name="b", tile=slow_decode, count=2)],
+        multicast=base.multicast, hw_sync=base.hw_sync)
+    jobs = (ConcurrentJob(kernel_name="axpby", n=64, num_clusters=2),
+            ConcurrentJob(kernel_name="memcpy", n=64, num_clusters=2))
+
+    def run(system):
+        result = offload_concurrent(system, jobs)
+        return (result.makespan_cycles,
+                tuple(job.completed_cycle for job in result.jobs),
+                tuple((record.cycle, record.source, record.label)
+                      for record in system.trace.records))
+
+    runs = {}
+    for naive in (True, False):
+        with (_env(NAIVE_CHANNEL_ENV, "1") if naive
+              else contextlib.nullcontext()):
+            system = ManticoreSystem(config)
+            runs[naive] = _fingerprint(system, run(system))
+    assert runs[False] == runs[True]
 
 
 # ----------------------------------------------------------------------

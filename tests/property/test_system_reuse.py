@@ -76,6 +76,11 @@ def _fingerprint(system, runtime_cycles):
         "host_requests": noc.host_port.requests,
         "host_busy": noc.host_port.busy_cycles,
         "amo_requests": noc.amo_port.requests,
+        "cluster_ports": tuple((port.requests, port.busy_cycles)
+                               for port in noc.cluster_ports),
+        "syncunit": (system.syncunit.count,
+                     system.syncunit.interrupts_fired,
+                     system.syncunit.stale_credits),
         "transactions": sorted(
             (txn.kind.name, txn.issued_at, txn.source, txn.addresses)
             for txn in noc.transactions),

@@ -4,17 +4,18 @@ Every closed form added by the fast-forward layer has a non-generator
 primitive at its core: channel reservations (``request_at`` /
 ``reserve_transfer`` / ``DmaEngine.reserve_in``), closed-form barrier
 crossings (``cross_all_known`` / ``book_arrival``), the mailbox's
-``job_event``, and the host's bulk store staging
-(``host_write_block``).  These tests pin each primitive's timing
+``job_event``, the host's bulk store staging (``host_write_block``),
+and the DM core's closed-form control traffic (``cluster_fetch_block``,
+``cluster_write_posted``, the descriptor decode memo).  These tests pin each primitive's timing
 against the event path it replaces and its refusal/validation edges.
 """
 
 import pytest
 
-from repro import flags
+from repro import abi, flags
 from repro.cluster import Barrier, DmaEngine, Mailbox
 from repro.core.offload import offload
-from repro.errors import SimulationError
+from repro.errors import OffloadError, ProtocolError, SimulationError
 from repro.sim import SerialResource, Simulator, ThroughputChannel
 from repro.soc.config import SoCConfig
 from repro.soc.fabricbarrier import FabricBarrier
@@ -364,6 +365,183 @@ def test_host_write_block_declines_mmio_and_region_overrun():
 
 
 # ----------------------------------------------------------------------
+# Closed-form DM-core control traffic
+# ----------------------------------------------------------------------
+DESC_ADDR = DRAM_BASE + 0x2000
+
+
+def _twelve_words(_first):
+    return 12
+
+
+def _event_fetch(system, addr, total, first=8):
+    """The reference two-burst fetch; returns (words, completion cycle)."""
+    noc = system.noc
+    out = []
+
+    def body():
+        words = list((yield noc.cluster_read_burst(0, addr, first)))
+        if total > first:
+            words += (yield noc.cluster_read_burst(0, addr + 8 * first,
+                                                   total - first))
+        out.append((words, system.sim.now))
+
+    system.sim.spawn(body())
+    system.sim.run()
+    return out[0]
+
+
+def _port_view(system):
+    noc = system.noc
+    port = noc.cluster_ports[0]
+    return (port.requests, port.busy_cycles,
+            [(txn.kind.name, txn.source, txn.addresses, txn.issued_at)
+             for txn in noc.transactions])
+
+
+@pytest.mark.parametrize("total", [12, 8, 5])
+def test_cluster_fetch_block_matches_burst_events(total):
+    words = list(range(100, 112))
+    naive = _small_system()
+    naive.memory.write_words(DESC_ADDR, words)
+    naive_words, naive_done = _event_fetch(naive, DESC_ADDR, total)
+
+    fast = _small_system()
+    fast.memory.write_words(DESC_ADDR, words)
+    fetched = fast.noc.cluster_fetch_block(
+        0, DESC_ADDR, 8, lambda first: total)
+    assert fetched is not None
+    fast_words, delay = fetched
+    assert fast_words == naive_words == words[:max(total, 8)]
+    assert delay == naive_done  # both start at cycle 0
+    assert fast.sim.pending == 0  # the caller parks; nothing scheduled
+    fast.sim.run(until=delay)
+    assert _port_view(fast) == _port_view(naive)
+    assert fast.noc.cluster_ports[0].next_free == \
+        naive.noc.cluster_ports[0].next_free
+    assert fast.noc.ff_descriptor_fetches == 1
+
+
+def test_cluster_fetch_block_logs_reads_at_true_cycles():
+    system = _small_system()
+    system.memory.write_words(DESC_ADDR, list(range(12)))
+    system.sim.run(until=5)
+    _words, delay = system.noc.cluster_fetch_block(
+        0, DESC_ADDR, 8, _twelve_words)
+    params = system.noc.params
+    first_response = (5 + params.cluster_port_occupancy
+                      + params.request_latency + params.response_latency + 7)
+    assert [(txn.addresses[0], txn.issued_at)
+            for txn in system.noc.transactions] == \
+        [(DESC_ADDR, 5), (DESC_ADDR + 64, first_response)]
+    assert 5 + delay == (first_response + params.cluster_port_occupancy
+                         + params.request_latency
+                         + params.response_latency + 3)
+
+
+def _assert_declined(system, addr, size_of=_twelve_words):
+    assert system.noc.cluster_fetch_block(0, addr, 8, size_of) is None
+    assert system.noc.transactions == []
+    assert system.noc.cluster_ports[0].requests == 0
+    assert system.noc.ff_descriptor_fetches == 0
+
+
+def test_cluster_fetch_block_declines_mmio_straddles_and_unsized():
+    system = _small_system()
+    end = DRAM_BASE + system.memory.size_bytes
+    _assert_declined(system, SYNCUNIT_BASE)          # MMIO target
+    _assert_declined(system, end - 8 * 4)            # first burst overruns
+    _assert_declined(system, end - 8 * 10)           # tail overruns
+    _assert_declined(system, 0x10)                   # unmapped
+    _assert_declined(system, DESC_ADDR, lambda first: None)
+    # The same fetch fits once the block ends inside the region.
+    assert system.noc.cluster_fetch_block(
+        0, end - 8 * 12, 8, _twelve_words) is not None
+
+
+def _first_cycle(system, predicate):
+    """Step the scheduler until ``predicate()`` holds; return the cycle."""
+    while not predicate():
+        assert system.sim.step(), "predicate never became true"
+    return system.sim.now
+
+
+def test_cluster_write_posted_delivers_on_the_event_cycle():
+    target = DRAM_BASE + 0x3000
+    cycles = {}
+    for closed in (False, True):
+        system = _small_system()
+        seen = []
+        system.address_map.watch(target, lambda value: seen.append(
+            (value, system.sim.now)))
+        if closed:
+            delay = system.noc.cluster_write_posted(0, target, 7)
+            issued = delay
+        else:
+            handle = system.noc.cluster_write(0, target, 7)
+            issued = _first_cycle(system, lambda: handle.issued.triggered)
+        system.sim.run()
+        cycles[closed] = (issued, seen, _port_view(system))
+    assert cycles[True] == cycles[False]
+    assert cycles[True][1][0][0] == 7
+
+
+def test_cluster_write_posted_fires_syncunit_irq_on_the_event_cycle():
+    fired = {}
+    for closed in (False, True):
+        system = _small_system()
+        system.syncunit.write_register(0x00, 1)  # THRESHOLD = 1: arm
+        if closed:
+            system.noc.cluster_write_posted(
+                0, system.syncunit_increment_addr, 1)
+        else:
+            system.noc.cluster_write(0, system.syncunit_increment_addr, 1)
+        fired[closed] = _first_cycle(
+            system, lambda: system.syncunit.interrupts_fired == 1)
+        system.sim.run()
+        assert system.syncunit.count == 1
+        assert system.noc.ff_posted_stores == int(closed)
+    assert fired[True] == fired[False]
+
+
+def test_strict_mode_rejects_a_descriptor_rewritten_mid_fetch(monkeypatch):
+    monkeypatch.setenv(flags.STRICT_ENV, "1")
+    system = _small_system()
+    desc = abi.JobDescriptor(
+        kernel_name="daxpy", n=8, num_clusters=1,
+        sync_mode=abi.SYNC_MODE_AMO, completion_addr=DRAM_BASE + 0x3000,
+        scalars={"a": 2.0}, input_addrs={"x": DRAM_BASE, "y": DRAM_BASE},
+        output_addrs={"y": DRAM_BASE})
+    system.memory.write_words(DESC_ADDR, abi.encode_descriptor(desc))
+    system.clusters[0].mailbox.write_register(0x00, DESC_ADDR)
+    system.sim.schedule(
+        20, lambda _arg: system.memory.write_word(DESC_ADDR + 8, 16))
+    with pytest.raises(ProtocolError, match=r"cluster0.*0x80002000.*cycle"):
+        system.sim.run()
+
+
+def test_decode_memo_shares_results_and_never_caches_failures():
+    desc = abi.JobDescriptor(
+        kernel_name="daxpy", n=96, num_clusters=4,
+        sync_mode=abi.SYNC_MODE_SYNCUNIT, completion_addr=SYNCUNIT_BASE,
+        scalars={"a": 1.5}, input_addrs={"x": DRAM_BASE, "y": DRAM_BASE + 8},
+        output_addrs={"y": DRAM_BASE + 8})
+    words = abi.encode_descriptor(desc)
+    first = abi.decode_descriptor(words)
+    assert first == desc
+    assert abi.decode_descriptor(list(words)) is first
+    corrupt = list(words)
+    corrupt[7] = 5  # scalar count disagrees with the kernel
+    for _attempt in range(2):
+        with pytest.raises(OffloadError, match="scalar count"):
+            abi.decode_descriptor(corrupt)
+    for n in range(1, abi.DECODE_MEMO_SIZE + 10):
+        words[1] = n
+        assert abi.decode_descriptor(words).n == n
+    assert len(abi._decode_memo) <= abi.DECODE_MEMO_SIZE
+
+
+# ----------------------------------------------------------------------
 # Aggregated fast-forward statistics
 # ----------------------------------------------------------------------
 def test_fastforward_stats_engage_and_reset():
@@ -377,6 +555,8 @@ def test_fastforward_stats_engage_and_reset():
     assert stats["fabric_arrivals"] == 2
     assert stats["staged_store_runs"] == 1
     assert stats["staged_stores"] > 0
+    assert stats["descriptor_fetches"] == 2
+    assert stats["posted_stores"] == 0  # baseline completes by AMO
     assert stats["dma_fallbacks"] == 0
     assert stats["channel_conflicts"] == 0
     system.reset()

@@ -11,6 +11,7 @@ import dataclasses
 
 import pytest
 
+from repro import flags
 from repro.errors import ConfigError
 from repro.kernels.base import KernelTiming
 from repro.soc.config import SoCConfig
@@ -180,6 +181,38 @@ def test_span_tile_detects_mixed_spans():
     assert config.span_tile(0, 4) is None  # crosses classes
     with pytest.raises(ConfigError, match="invalid cluster span"):
         config.span_tile(3, 4)
+
+
+@pytest.mark.parametrize("explicit", ["", "1"])
+def test_span_queries_match_the_per_cluster_definition(explicit,
+                                                       monkeypatch):
+    """``span_tile``/``min_tcdm_bytes`` scan the overlapping groups
+    once; they must agree with resolving every cluster on its own."""
+    monkeypatch.setenv("REPRO_EXPLICIT_FABRIC", explicit)
+    mixed = SoCConfig.with_fabric(
+        [TileGroup(name="a", tile=SNITCH, count=3),
+         TileGroup(name="b", tile=VECWIDE, count=2),
+         TileGroup(name="c", tile=SNITCH, count=3)])
+    homogeneous = SoCConfig.extended(num_clusters=6)
+    for config in (mixed, homogeneous):
+        total = config.num_clusters
+        for first in range(total):
+            for count in range(1, total - first + 1):
+                tiles = [config.tile_of(cluster)
+                         for cluster in range(first, first + count)]
+                expected = tiles[0] if len(set(tiles)) == 1 else None
+                assert config.span_tile(first, count) == expected
+                assert config.min_tcdm_bytes(first, count) == \
+                    min(tile.tcdm_bytes for tile in tiles)
+
+    reads = []
+    real = flags.explicit_fabric
+    monkeypatch.setattr(flags, "explicit_fabric",
+                        lambda: reads.append(1) or real())
+    wide = SoCConfig.extended(num_clusters=32)
+    wide.min_tcdm_bytes(0, 32)
+    wide.span_tile(0, 32)
+    assert len(reads) == 2  # one gate read per span query
 
 
 def test_homogeneous_config_resolves_to_one_implicit_group(monkeypatch):
