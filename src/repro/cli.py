@@ -270,6 +270,7 @@ def _print_run_stats(out: typing.TextIO) -> None:
     path fully; a ``--jobs`` fan-out only reports the parent's share —
     worker pools live in their own processes).
     """
+    from repro.core.batch import FALLBACK_REASONS
     from repro.core.executor import drain_run_stats
 
     runs = drain_run_stats()
@@ -287,6 +288,9 @@ def _print_run_stats(out: typing.TextIO) -> None:
     predictable = total["planned_points"] + total["batch_fallback_points"]
     hit_rate = (100.0 * total["planned_points"] / predictable
                 if predictable else 0.0)
+    reasons = "".join(
+        f"; {total[key]} {reason}" for reason in FALLBACK_REASONS
+        for key in [f"batch_fallback_{reason}"] if total.get(key))
     out.write(
         f"\nsweep statistics ({len(runs)} sweep"
         f"{'s' if len(runs) != 1 else ''}):\n"
@@ -297,7 +301,7 @@ def _print_run_stats(out: typing.TextIO) -> None:
         f"  batch plan  {total['planned_points']} planned, "
         f"{total['simulated_points']} simulated, "
         f"{total['batch_fallback_points']} fallbacks "
-        f"(hit rate {hit_rate:.1f}%)\n"
+        f"(hit rate {hit_rate:.1f}%{reasons})\n"
         f"  m-predict   {total['prefixes_predicted']} prefixes predicted, "
         f"{total['prefixes_calibrated']} calibrated, "
         f"{total['mmodels_fitted']} models fitted, "

@@ -72,16 +72,24 @@ input DMAs back to back: ``din_i = T_rel + dma_setup + Σ ceil(bytes_in_j
 / read_width)`` over working clusters ``j ≤ i``.  The compute phase is
 the barrier's closed-form crossing (wake + max per-core cycles +
 latency).  Output DMAs commit in ``(compute_done, cluster_id)`` order
-and chain the same way on the write channel.  Completion is either the
-serial AMO unit (service chain in commit order, then the host's
+and serialize on the write channel: issued at ``a_k`` with ``w_k``
+cycles of work, transfer ``k`` finishes at ``d_k = max(a_k, d_{k-1}) +
+w_k``.  That max-plus recurrence unrolls to a scan: with ``S_k = Σ_{j≤k}
+w_j``, ``d_k = S_k + max_{j≤k} (a_j − (S_j − w_j))`` — one ``cumsum``
+and one ``maximum.accumulate``.  Completion is either the serial AMO
+unit (the same scan over increments in commit order, then the host's
 analytic poll schedule) or the sync unit's credit counter (threshold
 match on the last delivery, IRQ after the wire + raise latency, WFI
-wake).  Every term is an integer from :class:`~repro.soc.config.SoCConfig`.
+wake).  Every term is an integer from :class:`~repro.soc.config.SoCConfig`
+and every cycle after ``T_rel`` shifts with it, so :func:`predict_rows`
+times every grid point of a sweep relative to release, one row of a
+rows × clusters array each, before any prefix is known.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import typing
 
 import numpy
@@ -90,7 +98,7 @@ from repro import flags
 from repro.core.cache import calibration_key
 from repro.core.sweep import SweepPoint
 from repro.errors import ConfigError, KernelError, OffloadError
-from repro.kernels.base import Kernel, split_range
+from repro.kernels.base import Kernel
 from repro.kernels.registry import get_kernel
 from repro.runtime.strategies import (
     AmoPollCompletion,
@@ -271,22 +279,6 @@ def decode_mmodel(payload: typing.Optional[
                         m_hi=scalars[2], base=base, slope=slope)
 
 
-@dataclasses.dataclass(frozen=True)
-class _Prediction:
-    """One predicted grid point plus the markers the residual check needs.
-
-    Per-cluster entries are ``None`` for clusters whose slice is empty,
-    mirroring :class:`~repro.runtime.trace.ClusterPhases`.
-    """
-
-    point: SweepPoint
-    end_cycle: int
-    dma_in_done: typing.Tuple[typing.Optional[int], ...]
-    compute_done: typing.Tuple[typing.Optional[int], ...]
-    dma_out_done: typing.Tuple[typing.Optional[int], ...]
-    completion_signalled: typing.Tuple[int, ...]
-
-
 def resolve_spec(config: SoCConfig,
                  variant: str) -> typing.Optional[VariantSpec]:
     """The variant spec the planner can prove, or ``None``.
@@ -304,60 +296,12 @@ def resolve_spec(config: SoCConfig,
             spec = get_variant(variant)
     except OffloadError:
         return None
-    if spec.use_multicast and not config.multicast:
-        return None
-    if spec.use_hw_sync and not config.hw_sync:
-        return None
-    if type(spec.dispatch) not in _PROVABLE_DISPATCH:
-        return None
-    if type(spec.completion) not in _PROVABLE_COMPLETION:
+    if ((spec.use_multicast and not config.multicast)
+            or (spec.use_hw_sync and not config.hw_sync)
+            or type(spec.dispatch) not in _PROVABLE_DISPATCH
+            or type(spec.completion) not in _PROVABLE_COMPLETION):
         return None
     return spec
-
-
-def point_provable(config: SoCConfig, kernel: Kernel, n: int, m: int,
-                   scalars: typing.Mapping[str, float],
-                   tile: typing.Optional["ResolvedTile"] = None) -> bool:
-    """Whether one (N, M) point's tail is safely predictable.
-
-    Refuses anything whose event-engine run would raise (invalid shape,
-    TCDM or main-memory overflow, a tile class without a rate for this
-    kernel — the event path must own the error) and any slice shape the
-    DMA-chain algebra cannot order (zero-byte transfers skip the
-    channel reservation entirely, changing the arbitration order the
-    closed form assumes).  ``tile`` is the resolved tile the point runs
-    on; ``None`` reads the homogeneous config knobs directly.
-    """
-    try:
-        kernel.validate(n, scalars)
-        slices = split_range(n, m)
-    except KernelError:
-        return False
-    tcdm_bytes = config.tcdm_bytes
-    if tile is not None:
-        tcdm_bytes = tile.tcdm_bytes
-        try:
-            tile.timing_for(kernel.name)
-        except ConfigError:
-            return False
-    largest = slices[0]
-    if kernel.slice_tcdm_bytes(largest.lo, largest.hi, n) > tcdm_bytes:
-        return False
-    staged = sum(8 * kernel.input_length(name, n)
-                 for name in kernel.input_names)
-    staged += sum(8 * kernel.output_length(name, n, m)
-                  for name in kernel.output_names
-                  if kernel.output_alias(name) is None)
-    if staged + _MEMORY_SLACK_BYTES > config.main_memory_bytes:
-        return False
-    for work in slices:
-        if work.empty:
-            continue
-        if kernel.slice_bytes_in(work.lo, work.hi, n) <= 0:
-            return False
-        if kernel.slice_bytes_out(work.lo, work.hi, n) <= 0:
-            return False
-    return True
 
 
 def extract_prefix(config: SoCConfig, trace: "OffloadTrace", m: int,
@@ -380,185 +324,294 @@ def extract_prefix(config: SoCConfig, trace: "OffloadTrace", m: int,
                    release_cycle=release)
 
 
-def predict_point(config: SoCConfig, kernel: Kernel, spec: VariantSpec,
-                  prefix: _Prefix, n: int, m: int,
-                  tile: typing.Optional["ResolvedTile"] = None,
-                  ) -> typing.Optional[_Prediction]:
-    """Time one grid point with the closed-form tail algebra.
+#: Rows per array pass: bounds the rows × clusters temporaries (about
+#: 1 MB each at 32 clusters) on grids of any size.
+_CHUNK_ROWS = 4096
 
-    Returns ``None`` when the completion schedule is ambiguous against
-    the host's observation (same-cycle races the event engine resolves
-    through queue internals the algebra does not model); callers fall
-    such points back to the event engine.
+#: Issue cycle of the clusters a chain skips: sorts after every real one.
+_NEVER = 1 << 62
 
-    ``tile`` supplies the per-tile-class knobs (core count, DMA setup,
-    wake/barrier latencies, kernel compute rates); ``None`` reads the
-    homogeneous config knobs, the pre-fabric behaviour.  Either way the
-    residual check (:func:`matches_trace`) guards the algebra against
-    the event engine, so a knob this form mis-models falls the group
-    back instead of diverging.
+
+@dataclasses.dataclass(frozen=True)
+class _Rows:
+    """Closed-form tails of a batch of grid points, one (N, M) per row.
+
+    Every cycle counts from the row's start-barrier release, so one
+    evaluation serves any prefix (:meth:`finish` adds it).
+    ``threshold`` is the cycle the completion threshold is crossed: the
+    AMO unit's last increment, or the sync unit's IRQ raise.
+    ``last_signal`` is the last completion store.  ``markers``, when
+    asked for, holds the per-cluster DMA-in, compute, DMA-out and
+    completion cycles as ``(4, rows, clusters)``, ``-1`` where a cluster
+    has no such marker (empty slice, or past the row's M).
     """
-    if tile is None:
-        cores = config.cores_per_cluster
-        dma_setup = config.dma_setup_cycles
-        worker_wake = config.worker_wake_latency
-        barrier = config.barrier_latency
-        timing = None
-    else:
-        cores = tile.cores_per_tile
-        dma_setup = tile.dma_setup_cycles
-        worker_wake = tile.worker_wake_latency
-        barrier = tile.barrier_latency
-        timing = tile.timing_for(kernel.name)
-    slices = split_range(n, m)
-    elems = numpy.fromiter((s.hi - s.lo for s in slices),
-                           dtype=numpy.int64, count=m)
-    nonempty = elems > 0
-    ids = numpy.flatnonzero(nonempty)
-    if ids.size == 0:
-        return None
-    release = prefix.release_cycle
 
-    # Input DMA: every working cluster issues its read reservation at
-    # release + dma_setup; the shared channel serves them in cluster-id
-    # order, so finishes are one cumulative sum.
-    b_in = numpy.fromiter(
-        (kernel.slice_bytes_in(slices[i].lo, slices[i].hi, n) for i in ids),
-        dtype=numpy.int64, count=ids.size)
-    read_cycles = -(-b_in // config.mem_read_width_bytes)
-    din = (release + dma_setup + numpy.cumsum(read_cycles))
+    config: SoCConfig
+    spec: VariantSpec
+    kernel_name: str
+    n: numpy.ndarray
+    m: numpy.ndarray
+    provable: numpy.ndarray
+    threshold: numpy.ndarray
+    last_signal: numpy.ndarray
+    markers: typing.Optional[numpy.ndarray] = None
 
-    # Compute: the barrier's closed-form crossing.  Per-core counts are
-    # q+1 (the first e mod cores workers) and q, so the phase maximum
-    # needs at most two vectorized timing evaluations per cluster.
-    q, r = numpy.divmod(elems[ids], cores)
-    if timing is None:
-        cyc_lo = kernel.compute_cycles_array(q, n)
-        cyc_hi = kernel.compute_cycles_array(q + 1, n)
-    else:
-        cyc_lo = timing.cycles_array(q)
-        cyc_hi = timing.cycles_array(q + 1)
-    phase_max = numpy.where(r > 0, numpy.maximum(cyc_hi, cyc_lo), cyc_lo)
-    compute_done = din + worker_wake + phase_max + barrier
+    def finish(self, rows: numpy.ndarray, prefix: numpy.ndarray
+               ) -> typing.Tuple[numpy.ndarray, str,
+                                 typing.Dict[str, numpy.ndarray]]:
+        """``(refused, reason, phases)`` of ``rows`` under ``prefix``.
 
-    # Output DMA: reservations commit in (compute_done, cluster_id)
-    # order and chain on the otherwise-idle write channel.
-    b_out = numpy.fromiter(
-        (kernel.slice_bytes_out(slices[i].lo, slices[i].hi, n) for i in ids),
-        dtype=numpy.int64, count=ids.size)
-    write_cycles = -(-b_out // config.mem_write_width_bytes)
-    dout = numpy.empty_like(compute_done)
-    next_free = 0
-    for k in numpy.lexsort((ids, compute_done)):
-        issue = int(compute_done[k]) + dma_setup
-        start = issue if issue > next_free else next_free
-        next_free = start + int(write_cycles[k])
-        dout[k] = next_free
+        ``prefix`` holds one :meth:`_Prefix.fields` column per row.
+        ``refused`` marks rows whose completion schedule is ambiguous
+        against the host's observation (same-cycle races the event
+        engine orders through queue internals); ``reason`` names the race.
+        """
+        config = self.config
+        start, dispatch_start, dispatch_done, release = prefix
+        crossing = release + self.threshold[rows]
+        if isinstance(self.spec.completion, AmoPollCompletion):
+            # The host's poll schedule is the analytic fast-forward
+            # form.  A threshold crossed before (or on the very cycle)
+            # the first poll read observes the flag takes the
+            # first-iteration path, which the algebra does not model.
+            occ, req = config.noc_load_occupancy, config.noc_request_latency
+            resp = config.noc_response_latency
+            read0 = dispatch_done + occ + req
+            period = occ + req + resp + config.host_poll_gap_cycles
+            refused = crossing <= read0
+            end = read0 + ((crossing - read0) // period + 1) * period + resp
+            reason = "amo_first_poll"
+        else:
+            # WFI pays the wake latency from whichever of (raise, entry)
+            # comes last; a same-cycle IRQ-vs-WFI entry is ordered by
+            # queue internals, not by the algebra's inputs.
+            refused = crossing == dispatch_done
+            end = (numpy.maximum(crossing, dispatch_done)
+                   + config.host_wfi_wake_latency)
+            reason = "irq_dispatch_done"
+        phases = {
+            "setup": dispatch_start - start,
+            "dispatch": dispatch_done - dispatch_start,
+            "completion_wait": end - dispatch_done,
+            "sync_overhead": end - release - self.last_signal[rows],
+            "total": end - start,
+        }
+        return refused, reason, phases
 
-    # Completion-store commit cycle per cluster: empty slices signal
-    # straight from the start-barrier release, working ones after their
-    # write-back lands.
-    signal = numpy.full(m, release, dtype=numpy.int64)
-    signal[ids] = dout
+
+def _serialize(issue: numpy.ndarray, work: numpy.ndarray) -> numpy.ndarray:
+    """Finish cycles of one server per row, in ``(issue, column)`` order.
+
+    A job starts at ``max(issue, previous finish)`` and holds the server
+    ``work`` cycles.  In service order that recurrence is a max-plus
+    scan: with ``S`` the running sum of ``work``, ``finish = S +
+    maximum.accumulate(issue - (S - work))``.
+    """
+    order = numpy.argsort(issue, axis=1, kind="stable")
+    issue = numpy.take_along_axis(issue, order, axis=1)
+    work = numpy.take_along_axis(work, order, axis=1)
+    total = numpy.cumsum(work, axis=1)
+    done = total + numpy.maximum.accumulate(issue - (total - work), axis=1)
+    finish = numpy.empty_like(done)
+    numpy.put_along_axis(finish, order, done, axis=1)
+    return finish
+
+
+def predict_rows(config: SoCConfig, kernel: Kernel, spec: VariantSpec,
+                 n: typing.Sequence[int], m: typing.Sequence[int],
+                 scalars: typing.Mapping[str, float],
+                 tile: typing.Optional["ResolvedTile"] = None,
+                 markers: bool = False) -> _Rows:
+    """Prove and time a batch of grid points as rows × clusters arrays.
+
+    Row ``r`` splits ``n[r]`` into ``m[r]`` slices with ``divmod`` and
+    lays its clusters out along the columns; slice bytes are computed
+    once and serve both the proof and the DMA algebra.  A row is
+    unprovable when its event-engine run would raise (invalid shape,
+    TCDM or main-memory overflow, a tile class without a rate for this
+    kernel — the event path must own the error) or when a working
+    slice moves zero bytes either way (zero-byte transfers skip the
+    channel reservation entirely, changing the arbitration order the
+    closed form assumes).
+
+    ``tile`` supplies the per-tile-class knobs (core count, TCDM, DMA
+    setup, wake/barrier latencies, kernel compute rates); ``None``
+    reads the homogeneous config knobs, the pre-fabric behaviour.
+    Either way the residual check (:func:`matches_trace`) guards the
+    algebra against the event engine, so a knob this form mis-models
+    falls the group back instead of diverging.
+    """
+    knobs: typing.Any = config if tile is None else tile
+    cores = config.cores_per_cluster if tile is None else tile.cores_per_tile
+    tcdm_bytes, dma_setup = knobs.tcdm_bytes, knobs.dma_setup_cycles
+    wake, barrier = knobs.worker_wake_latency, knobs.barrier_latency
+    timing = None
+    n, m = (numpy.asarray(v, dtype=numpy.int64) for v in (n, m))
+    valid: typing.List[int] = []
+    for value in set(n.tolist()):
+        try:
+            kernel.validate(value, scalars)
+            # A tile class without a rate for this kernel refuses all.
+            timing = tile.timing_for(kernel.name) if tile is not None else None
+        except (KernelError, ConfigError):
+            continue
+        valid.append(value)
+    todo = numpy.flatnonzero(numpy.isin(n, valid) & (n > 0))
+    provable = numpy.zeros(n.size, dtype=bool)
+    threshold, last_signal = numpy.zeros((2, n.size), dtype=numpy.int64)
+    found = (numpy.full((4, n.size, int(m.max(initial=1))), -1,
+                        dtype=numpy.int64) if markers else None)
+    amo = isinstance(spec.completion, AmoPollCompletion)
     port_occ = config.noc_cluster_port_occupancy
-    req = config.noc_request_latency
-    resp = config.noc_response_latency
-    dispatch_done = prefix.dispatch_done
+    staged_outputs = [name for name in kernel.output_names
+                      if kernel.output_alias(name) is None]
+    for first_row in range(0, todo.size, _CHUNK_ROWS):
+        rows = todo[first_row:first_row + _CHUNK_ROWS]
+        size, width = n[rows, None], m[rows, None]
+        col = numpy.arange(int(width.max()))
+        base, extra = numpy.divmod(size, width)
+        active = col < width
+        elems = numpy.where(active, base + (col < extra), 0)
+        lo = numpy.where(active, col * base + numpy.minimum(col, extra),
+                         size)
+        hi = lo + elems
+        work = elems > 0
+        b_in = numpy.where(work, kernel.shape_array(
+            kernel.slice_bytes_in, lo, hi, size), 0)
+        b_out = numpy.where(work, kernel.shape_array(
+            kernel.slice_bytes_out, lo, hi, size), 0)
+        staged = sum(8 * kernel.shape_array(
+            functools.partial(kernel.input_length, name), size)
+            for name in kernel.input_names)
+        staged = staged + sum(8 * kernel.shape_array(
+            functools.partial(kernel.output_length, name), size, width)
+            for name in staged_outputs)
+        largest = kernel.shape_array(kernel.slice_tcdm_bytes, lo[:, :1],
+                                     hi[:, :1], size)
+        provable[rows] = (
+            (largest <= tcdm_bytes)
+            & (staged + _MEMORY_SLACK_BYTES <= config.main_memory_bytes)
+            & work.any(axis=1, keepdims=True)
+            & ~(work & ((b_in <= 0) | (b_out <= 0))).any(
+                axis=1, keepdims=True)).ravel()
 
-    if isinstance(spec.completion, AmoPollCompletion):
-        # The memory's AMO unit services increments in commit order;
-        # the host's poll schedule is the analytic fast-forward form.
-        arrival = signal + port_occ + req
-        completion = numpy.empty(m, dtype=numpy.int64)
-        finish = 0
-        for cid in sorted(range(m), key=lambda c: (int(signal[c]), c)):
-            at = int(arrival[cid])
-            finish = (at if at > finish else finish) \
-                + config.noc_amo_service_cycles
-            completion[cid] = finish + resp
-        crossing_write = finish
-        read0 = dispatch_done + config.noc_load_occupancy + req
-        period = (config.noc_load_occupancy + req + resp
-                  + config.host_poll_gap_cycles)
-        if crossing_write <= read0:
-            # The threshold may cross before (or on the very cycle) the
-            # first poll read observes the flag — the first-iteration
-            # path, which the algebra does not model.
-            return None
-        success = (crossing_write - read0) // period + 1
-        end = read0 + success * period + resp
-    else:
-        # Sync unit: posted increments issue one port-occupancy after
-        # commit; the threshold matches on the last delivery and the
-        # IRQ raises after the raise latency.  WFI always pays the wake
-        # latency from whichever of (raise, entry) comes last.
-        issued = signal + port_occ
-        completion = issued.copy()
-        raise_cycle = (int(issued.max()) + req
-                       + config.syncunit_irq_latency)
-        if raise_cycle == dispatch_done:
-            # Same-cycle IRQ-vs-WFI entry: ordering depends on queue
-            # internals, not on the algebra's inputs.
-            return None
-        latest = raise_cycle if raise_cycle > dispatch_done else dispatch_done
-        end = latest + config.host_wfi_wake_latency
-
-    last_signal = int(completion.max())
-    phases = {
-        "setup": int(prefix.dispatch_start - prefix.start_cycle),
-        "dispatch": int(dispatch_done - prefix.dispatch_start),
-        "completion_wait": int(end - dispatch_done),
-        "sync_overhead": int(end - last_signal),
-        "total": int(end - prefix.start_cycle),
-    }
-    point = SweepPoint(
-        kernel_name=kernel.name, n=n, num_clusters=m, variant=spec.name,
-        runtime_cycles=phases["total"], phases=phases)
-
-    def full(values: numpy.ndarray) -> typing.Tuple[
-            typing.Optional[int], ...]:
-        out: typing.List[typing.Optional[int]] = [None] * m
-        for slot, cid in enumerate(ids):
-            out[int(cid)] = int(values[slot])
-        return tuple(out)
-
-    return _Prediction(
-        point=point, end_cycle=int(end),
-        dma_in_done=full(din), compute_done=full(compute_done),
-        dma_out_done=full(dout),
-        completion_signalled=tuple(int(c) for c in completion))
+        # Input DMA: every working cluster issues at release + setup and
+        # the shared read channel serves them in cluster-id order.
+        din = dma_setup + numpy.cumsum(
+            -(-b_in // config.mem_read_width_bytes), axis=1)
+        # Compute: the barrier's closed-form crossing.  Per-core counts
+        # are q+1 (the first e mod cores workers) and q.
+        q, rem = numpy.divmod(elems, cores)
+        if timing is None:
+            cyc_lo = kernel.compute_cycles_array(q, size)
+            cyc_hi = kernel.compute_cycles_array(q + 1, size)
+        else:
+            cyc_lo, cyc_hi = timing.cycles_array(q), timing.cycles_array(q + 1)
+        done = din + wake + barrier + numpy.where(
+            rem > 0, numpy.maximum(cyc_hi, cyc_lo), cyc_lo)
+        # Output DMA: reservations commit in (compute_done, cluster_id)
+        # order and chain on the otherwise-idle write channel.
+        dout = _serialize(numpy.where(work, done + dma_setup, _NEVER),
+                          -(-b_out // config.mem_write_width_bytes))
+        # Completion stores commit at release for empty slices, after
+        # the write-back for working ones.
+        signal = numpy.where(work, dout, 0) + port_occ
+        if amo:
+            # The memory's AMO unit services increments in commit order.
+            arrival = numpy.where(active, signal + config.noc_request_latency,
+                                  _NEVER)
+            finish = _serialize(arrival, numpy.full_like(
+                arrival, config.noc_amo_service_cycles))
+            completion = finish + config.noc_response_latency
+            threshold[rows] = numpy.where(active, finish, -1).max(axis=1)
+            last_signal[rows] = (threshold[rows]
+                                 + config.noc_response_latency)
+        else:
+            # Sync unit: posted increments; the threshold matches on the
+            # last delivery and the IRQ raises after the wire latency.
+            completion = signal
+            last_signal[rows] = numpy.where(active, signal, -1).max(axis=1)
+            threshold[rows] = (last_signal[rows] + config.noc_request_latency
+                               + config.syncunit_irq_latency)
+        if found is not None:
+            found[:, rows, :col.size] = numpy.where(
+                numpy.stack([work, work, work, active]),
+                numpy.stack([din, done, dout, completion]), -1)
+    return _Rows(config=config, spec=spec, kernel_name=kernel.name, n=n,
+                 m=m, provable=provable, threshold=threshold,
+                 last_signal=last_signal, markers=found)
 
 
-def matches_trace(prediction: _Prediction, trace: "OffloadTrace",
-                  measured: SweepPoint, first: int = 0) -> bool:
-    """Whether a prediction reproduces a measured point exactly.
+def matches_trace(rows: _Rows, row: int, prefix: _Prefix,
+                  trace: "OffloadTrace", measured: SweepPoint,
+                  first: int = 0) -> bool:
+    """Whether ``rows[row]`` under ``prefix`` reproduces a measured point.
 
     This is the per-group residual check: evaluated at the calibration
-    N, marker for marker.  Any drift between the algebra and the event
-    engine — a protocol change, a timing constant moved, an arbitration
-    order the proof missed — fails here and falls the group back, so
-    batched numbers can never silently diverge.  Prediction arrays are
-    group-local (slot 0 = cluster ``first``), so trace cluster ids are
-    rebased before indexing.
+    N, marker for marker (the point with every phase, the end cycle and
+    each cluster's DMA-in, compute, DMA-out and completion cycles).
+    Any drift between the algebra and the event engine — a protocol
+    change, a timing constant moved, an arbitration order the proof
+    missed — fails here and falls the group back, so batched numbers
+    can never silently diverge.  ``rows`` needs ``markers``; they are
+    group-local (column 0 = cluster ``first``).
     """
-    if prediction.point != measured:
+    refused, _reason, phases = rows.finish(
+        numpy.array([row]), numpy.array(prefix.fields())[:, None])
+    summary = {name: int(values[0]) for name, values in phases.items()}
+    point = SweepPoint(kernel_name=rows.kernel_name, n=int(rows.n[row]),
+                       num_clusters=int(rows.m[row]),
+                       variant=rows.spec.name,
+                       runtime_cycles=summary["total"], phases=summary)
+    if (not rows.provable[row] or refused[0] or point != measured
+            or summary["total"] + prefix.start_cycle != trace.end_cycle):
         return False
-    if prediction.end_cycle != trace.end_cycle:
-        return False
+    predicted = typing.cast(numpy.ndarray, rows.markers)[:, row, :]
+    observed = numpy.full_like(predicted, -1)
     for cluster in trace.clusters:
         cid = cluster.cluster_id - first
-        if cid < 0 or cid >= len(prediction.completion_signalled):
+        if not 0 <= cid < point.num_clusters:
             return False
-        if prediction.dma_in_done[cid] != cluster.dma_in_done:
-            return False
-        if prediction.compute_done[cid] != cluster.compute_done:
-            return False
-        if prediction.dma_out_done[cid] != cluster.dma_out_done:
-            return False
-        if prediction.completion_signalled[cid] \
-                != cluster.completion_signalled:
-            return False
-    return True
+        observed[:, cid] = [
+            -1 if cycle is None else cycle - prefix.release_cycle
+            for cycle in (cluster.dma_in_done, cluster.compute_done,
+                          cluster.dma_out_done,
+                          cluster.completion_signalled)]
+    return bool(numpy.array_equal(predicted, observed))
+
+
+#: Why the planner handed points back to the event engine (run stats
+#: ``batch_fallback_<reason>``): unprovable strategy types or shape, a
+#: mixed-tile span, a lone point with no trusted prefix, a residual
+#: mismatch, an AMO threshold crossed at or before the first poll read,
+#: an IRQ raised on the dispatch-done cycle.
+FALLBACK_REASONS = ("structural", "mixed_tile", "lone_point", "residual",
+                    "amo_first_poll", "irq_dispatch_done")
+
+
+@dataclasses.dataclass
+class _Job:
+    """One :meth:`BatchPlanner.consume` call; ``queue`` holds the
+    ``(rows, prefix)`` groups awaiting the array pass that times them."""
+
+    config: SoCConfig
+    kernel: Kernel
+    spec: VariantSpec
+    variant: str
+    scalars: typing.Optional[typing.Mapping[str, float]]
+    resolved: typing.Mapping[str, float]
+    seed: int
+    verify: bool
+    tile_group: typing.Optional[str]
+    first: int
+    tile: typing.Optional["ResolvedTile"]
+    coords: typing.Tuple
+    slots: typing.List[typing.Optional[SweepPoint]]
+    entries: typing.List[typing.Tuple[int, int, int]]
+    rows: _Rows
+    remaining: typing.List[typing.Tuple[int, int, int]]
+    queue: typing.List[typing.Tuple[typing.List[int], _Prefix]] = \
+        dataclasses.field(default_factory=list)
 
 
 class BatchPlanner:
@@ -572,9 +625,8 @@ class BatchPlanner:
     - ``planned_points`` — slots filled by closed-form prediction;
     - ``calibration_points`` — event-engine simulations the planner ran
       itself (their slots are filled with the *measured* result);
-    - ``fallback_points`` — pending points handed back to the event
-      engine (structural refusals, residual-check failures, ambiguous
-      completion schedules, groups too small to profit);
+    - ``fallbacks`` — pending points handed back to the event engine,
+      by :data:`FALLBACK_REASONS`; ``fallback_points`` is their sum;
     - ``prefixes_calibrated`` / ``prefixes_predicted`` — M groups whose
       prefix came from a calibration simulation vs. from the affine
       M-model or the calibration store (no simulation at all);
@@ -595,13 +647,18 @@ class BatchPlanner:
         self.cache = cache
         self.planned_points = 0
         self.calibration_points = 0
-        self.fallback_points = 0
+        self.fallbacks = dict.fromkeys(FALLBACK_REASONS, 0)
         self.prefixes_calibrated = 0
         self.prefixes_predicted = 0
         self.mmodels_fitted = 0
         self.holdout_fallbacks = 0
         self.store_hits = 0
         self.store_misses = 0
+
+    @property
+    def fallback_points(self) -> int:
+        """Points handed back to the event engine, for any reason."""
+        return sum(self.fallbacks.values())
 
     def consume(self, config: SoCConfig, kernel_name: str, variant: str,
                 scalars: typing.Optional[typing.Mapping[str, float]],
@@ -616,12 +673,13 @@ class BatchPlanner:
         executor builds them; the returned list preserves their relative
         order so the event engine visits leftovers in grid order.
 
-        Per M group the prefix comes from the cheapest trustworthy
-        source: a stored per-M prefix (no simulation), a stored or
-        freshly fitted-and-holdout-checked affine M-model (no
-        simulation), or a calibration simulation (the PR-7 path, which
-        also residual-checks the tail algebra and feeds the store).
-        ``REPRO_NAIVE_MPREDICT`` pins every group to the last source.
+        One :func:`predict_rows` pass proves every point and evaluates
+        its tail.  Per M group the prefix comes from the cheapest
+        trustworthy source: a stored per-M prefix, a stored or freshly
+        fitted-and-holdout-checked affine M-model (neither simulates),
+        or a calibration simulation (which also residual-checks the
+        algebra and feeds the store; ``REPRO_NAIVE_MPREDICT`` pins every
+        group to it).  One last array pass times every group at once.
 
         ``tile_group`` names the fabric group the sweep targets; the
         planner then proves and predicts with that group's tile class
@@ -635,68 +693,70 @@ class BatchPlanner:
 
         spec = resolve_spec(config, variant)
         if spec is None:
-            self.fallback_points += len(pending)
+            self.fallbacks["structural"] += len(pending)
             return list(pending)
         kernel = get_kernel(kernel_name)
         resolved = resolve_scalars(kernel, scalars)
         mpredict = not flags.naive_mpredict()
-
         group = (config.tile_group(tile_group)
                  if tile_group is not None else None)
-        first = group.start if group is not None else 0
 
-        groups: typing.Dict[int, typing.List[
-            typing.Tuple[int, int, int]]] = {}
-        for entry in pending:
-            groups.setdefault(entry[2], []).append(entry)
-
+        # Every uniform span starts at the same cluster, so all of them
+        # share one tile class.  Mixed classes across clusters 0..M-1
+        # differ mid-span, which the uniform tail algebra does not model.
+        span_tiles: typing.Dict[int, typing.Optional["ResolvedTile"]] = {}
+        entries: typing.List[typing.Tuple[int, int, int]] = []
         remaining: typing.List[typing.Tuple[int, int, int]] = []
-        provable_by_m: typing.Dict[int, typing.List[
-            typing.Tuple[int, int, int]]] = {}
-        tiles_by_m: typing.Dict[int, "ResolvedTile"] = {}
-        for m, members in groups.items():
-            tile = (group.tile if group is not None
-                    else config.span_tile(0, m))
-            if tile is None:
-                # Mixed tile classes across clusters 0..M-1: the
-                # per-cluster knobs differ mid-span, which the uniform
-                # tail algebra does not model.
-                self.fallback_points += len(members)
-                remaining.extend(members)
-                continue
-            provable = [entry for entry in members
-                        if point_provable(config, kernel, entry[1], m,
-                                          resolved, tile)]
-            refused = [entry for entry in members if entry not in provable]
-            self.fallback_points += len(refused)
-            remaining.extend(refused)
-            if provable:
-                provable_by_m[m] = provable
-                tiles_by_m[m] = tile
+        for entry in pending:
+            m = entry[2]
+            if m not in span_tiles:
+                span_tiles[m] = (group.tile if group is not None
+                                 else config.span_tile(0, m))
+            if span_tiles[m] is None:
+                self.fallbacks["mixed_tile"] += 1
+                remaining.append(entry)
+            else:
+                entries.append(entry)
+        tile = next((t for t in span_tiles.values() if t is not None), None)
+        rows = predict_rows(config, kernel, spec,
+                            [entry[1] for entry in entries],
+                            [entry[2] for entry in entries], resolved, tile)
+        provable_by_m: typing.Dict[int, typing.List[int]] = {}
+        for row, ok in enumerate(rows.provable.tolist()):
+            if ok:
+                provable_by_m.setdefault(entries[row][2], []).append(row)
+            else:
+                self.fallbacks["structural"] += 1
+                remaining.append(entries[row])
 
         # The store speaks the *resolved* variant and scalars, so
         # "auto" and the explicit name (or default and explicit
         # scalars) share calibration entries.  The group name joins the
         # coordinates because one config digest covers every group of a
         # heterogeneous fabric.
-        store_coords = (config, kernel.name, spec.name, resolved, seed,
-                        tile_group or "")
+        job = _Job(config=config, kernel=kernel, spec=spec, variant=variant,
+                   scalars=scalars, resolved=resolved, seed=seed,
+                   verify=verify, tile_group=tile_group,
+                   first=group.start if group is not None else 0,
+                   tile=tile,
+                   coords=(config, kernel.name, spec.name, resolved, seed,
+                           tile_group or ""),
+                   slots=slots, entries=entries, rows=rows,
+                   remaining=remaining)
         prefixes: typing.Dict[int, _Prefix] = {}
         model: typing.Optional[MPrefixModel] = None
         handled: typing.Set[int] = set()
         if mpredict:
             for m in provable_by_m:
-                stored = self._load_prefix(store_coords, m)
+                stored = self._load(job.coords, "prefix", decode_prefix, m)
                 if stored is not None:
                     prefixes[m] = stored
-            model = self._load_model(store_coords)
+            model = self._load(job.coords, "mmodel", decode_mmodel)
             if model is None:
-                model = self._fit_model(
-                    config, kernel, spec, store_coords, provable_by_m,
-                    tiles_by_m, first, tile_group, prefixes, handled,
-                    variant, scalars, seed, verify, slots, remaining)
+                model = self._fit_model(job, provable_by_m, prefixes,
+                                        handled)
 
-        for m, provable in provable_by_m.items():
+        for m, members in provable_by_m.items():
             if m in handled:
                 continue
             prefix = prefixes.get(m)
@@ -704,25 +764,20 @@ class BatchPlanner:
                 prefix = model.predict(m)
             if mpredict and prefix is not None:
                 self.prefixes_predicted += 1
-                remaining.extend(self._predict_group(
-                    config, kernel, spec, prefix, m, tiles_by_m[m],
-                    provable, slots))
+                job.queue.append((members, prefix))
                 continue
-            if len(provable) < 2:
+            if len(members) < 2:
                 # A lone provable point gains nothing from calibrating
                 # itself (and no trusted prefix reached us).
-                self.fallback_points += len(provable)
-                remaining.extend(provable)
+                self.fallbacks["lone_point"] += len(members)
+                remaining.extend(entries[row] for row in members)
                 continue
-            fallbacks, validated = self._plan_group(
-                config, kernel, spec, m, tiles_by_m[m], first,
-                tile_group, provable, variant, scalars, seed, verify,
-                slots)
-            remaining.extend(fallbacks)
+            validated = self._plan_group(job, m, members)
             self.prefixes_calibrated += 1
             if mpredict and validated is not None:
-                self._store_prefix(store_coords, m, validated)
+                self._store(job.coords, "prefix", encode_prefix(validated), m)
 
+        self._predict(job)
         order = {id(entry): rank for rank, entry in enumerate(pending)}
         remaining.sort(key=lambda entry: order[id(entry)])
         return remaining
@@ -730,134 +785,105 @@ class BatchPlanner:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _calibrate(self, config: SoCConfig, kernel_name: str, n: int,
-                   m: int, variant: str,
-                   scalars: typing.Optional[typing.Mapping[str, float]],
-                   seed: int, verify: bool,
-                   tile_group: typing.Optional[str] = None):
+    def _calibrate(self, job: _Job, n: int, m: int):
         """One event-engine simulation, keeping the full trace."""
         from repro.core.offload import offload
         from repro.soc.manticore import ManticoreSystem
 
+        args = (job.kernel.name, n, m)
+        kwargs = dict(scalars=job.scalars, variant=job.variant,
+                      seed=job.seed, verify=job.verify,
+                      tile_group=job.tile_group)
         if self.reuse:
-            with self.pool.lease(config) as system:
-                result = offload(system, kernel_name, n, m,
-                                 scalars=scalars, variant=variant,
-                                 seed=seed, verify=verify,
-                                 tile_group=tile_group)
+            with self.pool.lease(job.config) as system:
+                result = offload(system, *args, **kwargs)
         else:
-            system = ManticoreSystem(config)
-            result = offload(system, kernel_name, n, m, scalars=scalars,
-                             variant=variant, seed=seed, verify=verify,
-                             tile_group=tile_group)
+            result = offload(ManticoreSystem(job.config), *args, **kwargs)
         self.calibration_points += 1
         return result
 
-    def _plan_group(self, config: SoCConfig, kernel: Kernel,
-                    spec: VariantSpec, m: int, tile: "ResolvedTile",
-                    first: int, tile_group: typing.Optional[str],
-                    members: typing.List[typing.Tuple[int, int, int]],
-                    variant: str,
-                    scalars: typing.Optional[typing.Mapping[str, float]],
-                    seed: int, verify: bool,
-                    slots: typing.List[typing.Optional[SweepPoint]],
-                    ) -> typing.Tuple[
-                        typing.List[typing.Tuple[int, int, int]],
-                        typing.Optional[_Prefix]]:
-        """Calibrate one member, predict the rest.
+    def _plan_group(self, job: _Job, m: int,
+                    members: typing.List[int]) -> typing.Optional[_Prefix]:
+        """Calibrate one member, queue the rest for prediction.
 
-        Returns ``(fallbacks, prefix)`` where ``prefix`` is the
-        calibration's extracted prefix *only* when the residual check
-        passed — i.e. exactly when it is safe to reuse as an M-model
-        anchor or a calibration-store entry.
+        Returns the calibration's extracted prefix *only* when the
+        residual check passed — i.e. exactly when it is safe to reuse
+        as an M-model anchor or a calibration-store entry; otherwise
+        the rest of the group falls back.
         """
-        calibration = min(members, key=lambda entry: entry[0])
-        cal_index, cal_n, _m = calibration
-        result = self._calibrate(config, kernel.name, cal_n, m, variant,
-                                 scalars, seed, verify, tile_group)
+        calibration = min(members, key=lambda row: job.entries[row][0])
+        cal_index, cal_n, _m = job.entries[calibration]
+        result = self._calibrate(job, cal_n, m)
         measured = SweepPoint(
-            kernel_name=kernel.name, n=cal_n, num_clusters=m,
-            variant=result.variant,
-            runtime_cycles=result.runtime_cycles,
+            kernel_name=job.kernel.name, n=cal_n, num_clusters=m,
+            variant=result.variant, runtime_cycles=result.runtime_cycles,
             phases=result.trace.phase_summary())
-        slots[cal_index] = measured
-        rest = [entry for entry in members if entry is not calibration]
+        job.slots[cal_index] = measured
+        rest = [row for row in members if row != calibration]
 
-        prefix = (extract_prefix(config, result.trace, m, first)
-                  if result.variant == spec.name else None)
-        residual = (predict_point(config, kernel, spec, prefix, cal_n, m,
-                                  tile)
-                    if prefix is not None else None)
-        if residual is None or not matches_trace(residual, result.trace,
-                                                 measured, first):
-            self.fallback_points += len(rest)
-            return rest, None
+        prefix = (extract_prefix(job.config, result.trace, m, job.first)
+                  if result.variant == job.spec.name else None)
+        # The residual check: the same algebra at the calibration N,
+        # with per-cluster markers.
+        if prefix is None or not matches_trace(
+                predict_rows(job.config, job.kernel, job.spec, [cal_n], [m],
+                             job.resolved, job.tile, markers=True),
+                0, prefix, result.trace, measured, job.first):
+            self.fallbacks["residual"] += len(rest)
+            job.remaining.extend(job.entries[row] for row in rest)
+            return None
+        job.queue.append((rest, prefix))
+        return prefix
 
-        fallbacks: typing.List[typing.Tuple[int, int, int]] = []
-        for entry in rest:
-            index, n, _m = entry
-            prediction = predict_point(config, kernel, spec, prefix, n, m,
-                                       tile)
-            if prediction is None:
-                self.fallback_points += 1
-                fallbacks.append(entry)
-                continue
-            slots[index] = prediction.point
-            self.planned_points += 1
-        return fallbacks, prefix
+    def _predict(self, job: _Job) -> None:
+        """Time every queued group in one array pass.
 
-    def _predict_group(self, config: SoCConfig, kernel: Kernel,
-                       spec: VariantSpec, prefix: _Prefix, m: int,
-                       tile: "ResolvedTile",
-                       members: typing.List[typing.Tuple[int, int, int]],
-                       slots: typing.List[typing.Optional[SweepPoint]],
-                       ) -> typing.List[typing.Tuple[int, int, int]]:
-        """Predict a whole M group from a trusted prefix — no simulation.
-
-        The prefix arrived from the calibration store or the affine
-        M-model, both of which rest on residual-checked calibrations;
-        per-point ambiguity refusals (``predict_point`` → ``None``)
-        still fall back individually.
+        Prefixes arrived from the calibration store, the affine M-model
+        or a residual-checked calibration; rows whose completion
+        schedule is ambiguous still fall back one by one.
         """
-        fallbacks: typing.List[typing.Tuple[int, int, int]] = []
-        for entry in members:
-            index, n, _m = entry
-            prediction = predict_point(config, kernel, spec, prefix, n, m,
-                                       tile)
-            if prediction is None:
-                self.fallback_points += 1
-                fallbacks.append(entry)
+        if not job.queue:
+            return
+        rows = numpy.concatenate([numpy.asarray(members, dtype=numpy.int64)
+                                  for members, _prefix in job.queue])
+        prefix = numpy.repeat(
+            numpy.array([p.fields() for _members, p in job.queue],
+                        dtype=numpy.int64).T,
+            [len(members) for members, _prefix in job.queue], axis=1)
+        refused, reason, phases = job.rows.finish(rows, prefix)
+        names = tuple(phases)
+        columns = zip(*(values.tolist() for values in phases.values()))
+        for row, skip, values in zip(rows.tolist(), refused.tolist(),
+                                     columns):
+            entry = job.entries[row]
+            if skip:
+                self.fallbacks[reason] += 1
+                job.remaining.append(entry)
                 continue
-            slots[index] = prediction.point
+            summary = dict(zip(names, values))
+            job.slots[entry[0]] = SweepPoint(
+                kernel_name=job.kernel.name, n=entry[1],
+                num_clusters=entry[2], variant=job.spec.name,
+                runtime_cycles=summary["total"], phases=summary)
             self.planned_points += 1
-        return fallbacks
 
-    def _fit_model(self, config: SoCConfig, kernel: Kernel,
-                   spec: VariantSpec,
-                   coords: typing.Tuple, provable_by_m: typing.Dict[
-                       int, typing.List[typing.Tuple[int, int, int]]],
-                   tiles_by_m: typing.Dict[int, "ResolvedTile"],
-                   first: int, tile_group: typing.Optional[str],
+    def _fit_model(self, job: _Job,
+                   provable_by_m: typing.Dict[int, typing.List[int]],
                    prefixes: typing.Dict[int, _Prefix],
-                   handled: typing.Set[int], variant: str,
-                   scalars: typing.Optional[typing.Mapping[str, float]],
-                   seed: int, verify: bool,
-                   slots: typing.List[typing.Optional[SweepPoint]],
-                   remaining: typing.List[typing.Tuple[int, int, int]],
+                   handled: typing.Set[int]
                    ) -> typing.Optional[MPrefixModel]:
         """Fit and holdout-validate the affine M-model for this sweep.
 
         Anchors are the smallest and largest in-domain M values of the
-        sweep (so every other M interpolates), the holdout the median
-        in between.  Each of the three takes a full PR-7 calibration
-        (residual check included) unless the store already holds its
-        prefix.  Any failure — out-of-domain strategies, fewer than
-        four in-domain M groups (three calibrations would not beat
-        per-group calibrating them), anchor residual failure,
-        non-integer slope, holdout mismatch — returns ``None`` and the
-        sweep stays on per-group calibration.
+        sweep (so every other M interpolates), the holdout the median in
+        between; each takes a residual-checked calibration unless the
+        store holds its prefix.  Any failure — out-of-domain strategies,
+        fewer than four in-domain M groups (three calibrations would not
+        beat calibrating each), anchor residual failure, non-integer
+        slope, holdout mismatch — returns ``None`` and the sweep stays
+        on per-group calibration.
         """
-        floor = affine_domain(spec)
+        floor = affine_domain(job.spec)
         if floor is None:
             return None
         eligible = sorted(m for m in provable_by_m if m >= floor)
@@ -873,11 +899,7 @@ class BatchPlanner:
                 # anchoring on it keeps the fit simulation-free.
                 anchors[m] = known
                 continue
-            fallbacks, validated = self._plan_group(
-                config, kernel, spec, m, tiles_by_m[m], first,
-                tile_group, provable_by_m[m], variant, scalars, seed,
-                verify, slots)
-            remaining.extend(fallbacks)
+            validated = self._plan_group(job, m, provable_by_m[m])
             handled.add(m)
             self.prefixes_calibrated += 1
             if validated is None:
@@ -885,66 +907,42 @@ class BatchPlanner:
                 return None
             anchors[m] = validated
             prefixes[m] = validated
-            self._store_prefix(coords, m, validated)
+            self._store(job.coords, "prefix", encode_prefix(validated), m)
         model = fit_prefix_model(floor, m_lo, anchors[m_lo], m_hi,
                                  anchors[m_hi])
         if model is None or model.predict(m_mid) != anchors[m_mid]:
             self.holdout_fallbacks += 1
             return None
         self.mmodels_fitted += 1
-        self._store_model(coords, model)
+        self._store(job.coords, "mmodel", encode_mmodel(model))
         return model
 
     # ------------------------------------------------------------------
     # Calibration store plumbing
     # ------------------------------------------------------------------
-    def _load_prefix(self, coords: typing.Tuple,
-                     m: int) -> typing.Optional[_Prefix]:
+    def _load(self, coords: typing.Tuple, kind: str,
+              decode: typing.Callable[[typing.Any], typing.Any],
+              m: typing.Optional[int] = None) -> typing.Any:
+        """A ``kind`` record ("prefix" or "mmodel") from the store."""
         if self.cache is None:
             return None
-        config, kernel_name, variant_name, resolved, seed, group = coords
-        payload = self.cache.get_record(
-            calibration_key("prefix", config, kernel_name, variant_name,
-                            resolved, seed, m=m, tile_group=group),
-            "prefix")
-        prefix = decode_prefix(payload)
-        if prefix is None:
+        record = decode(self.cache.get_record(self._key(coords, kind, m),
+                                              kind))
+        if record is None:
             self.store_misses += 1
-            return None
-        self.store_hits += 1
-        return prefix
+        else:
+            self.store_hits += 1
+        return record
 
-    def _store_prefix(self, coords: typing.Tuple, m: int,
-                      prefix: _Prefix) -> None:
-        if self.cache is None:
-            return
-        config, kernel_name, variant_name, resolved, seed, group = coords
-        self.cache.put_record(
-            calibration_key("prefix", config, kernel_name, variant_name,
-                            resolved, seed, m=m, tile_group=group),
-            "prefix", encode_prefix(prefix))
+    def _store(self, coords: typing.Tuple, kind: str,
+               payload: typing.Dict[str, typing.Any],
+               m: typing.Optional[int] = None) -> None:
+        if self.cache is not None:
+            self.cache.put_record(self._key(coords, kind, m), kind, payload)
 
-    def _load_model(self, coords: typing.Tuple
-                    ) -> typing.Optional[MPrefixModel]:
-        if self.cache is None:
-            return None
+    @staticmethod
+    def _key(coords: typing.Tuple, kind: str,
+             m: typing.Optional[int]) -> str:
         config, kernel_name, variant_name, resolved, seed, group = coords
-        payload = self.cache.get_record(
-            calibration_key("mmodel", config, kernel_name, variant_name,
-                            resolved, seed, tile_group=group), "mmodel")
-        model = decode_mmodel(payload)
-        if model is None:
-            self.store_misses += 1
-            return None
-        self.store_hits += 1
-        return model
-
-    def _store_model(self, coords: typing.Tuple,
-                     model: MPrefixModel) -> None:
-        if self.cache is None:
-            return
-        config, kernel_name, variant_name, resolved, seed, group = coords
-        self.cache.put_record(
-            calibration_key("mmodel", config, kernel_name, variant_name,
-                            resolved, seed, tile_group=group),
-            "mmodel", encode_mmodel(model))
+        return calibration_key(kind, config, kernel_name, variant_name,
+                               resolved, seed, m=m, tile_group=group)

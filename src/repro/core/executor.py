@@ -37,7 +37,7 @@ import time
 import typing
 
 from repro import flags
-from repro.core.batch import BatchPlanner
+from repro.core.batch import FALLBACK_REASONS, BatchPlanner
 from repro.core.cache import SweepCache, point_key
 from repro.core.offload import offload
 from repro.core.sweep import SweepPoint, SweepResult
@@ -154,7 +154,8 @@ class SweepExecutor:
     - ``planned_points`` — points timed by the planner's closed form
       instead of the event engine;
     - ``batch_fallback_points`` — points the planner examined but
-      handed back to the event engine;
+      handed back to the event engine; ``batch_fallbacks`` splits them
+      by :data:`~repro.core.batch.FALLBACK_REASONS`;
     - ``prefixes_calibrated`` / ``prefixes_predicted`` — M groups whose
       dispatch prefix came from a calibration simulation vs. from the
       affine M-model or the calibration store (no simulation);
@@ -185,6 +186,7 @@ class SweepExecutor:
         self.simulated_points = 0
         self.planned_points = 0
         self.batch_fallback_points = 0
+        self.batch_fallbacks = dict.fromkeys(FALLBACK_REASONS, 0)
         self.prefixes_calibrated = 0
         self.prefixes_predicted = 0
         self.mmodels_fitted = 0
@@ -232,6 +234,7 @@ class SweepExecutor:
         self.simulated_points = 0
         self.planned_points = 0
         self.batch_fallback_points = 0
+        self.batch_fallbacks = dict.fromkeys(FALLBACK_REASONS, 0)
         self.prefixes_calibrated = 0
         self.prefixes_predicted = 0
         self.mmodels_fitted = 0
@@ -295,6 +298,7 @@ class SweepExecutor:
                 self.simulated_points += planner.calibration_points
                 self.planned_points = planner.planned_points
                 self.batch_fallback_points = planner.fallback_points
+                self.batch_fallbacks = dict(planner.fallbacks)
                 self.prefixes_calibrated = planner.prefixes_calibrated
                 self.prefixes_predicted = planner.prefixes_predicted
                 self.mmodels_fitted = planner.mmodels_fitted
@@ -352,6 +356,8 @@ class SweepExecutor:
             "simulated_points": self.simulated_points,
             "planned_points": self.planned_points,
             "batch_fallback_points": self.batch_fallback_points,
+            **{f"batch_fallback_{reason}": count
+               for reason, count in self.batch_fallbacks.items()},
             "batch_plan_hit_rate": (self.planned_points / predictable
                                     if predictable else 0.0),
             "prefixes_calibrated": self.prefixes_calibrated,

@@ -168,6 +168,14 @@ class Kernel(abc.ABC):
     #: that grounds the offload-or-not decision in measurements.
     host_timing: KernelTiming = KernelTiming(setup_cycles=12, cpe_num=3,
                                              cpe_den=1)
+    #: Whether the shape methods (:meth:`input_length`,
+    #: :meth:`output_length`, :meth:`slice_bytes_in`,
+    #: :meth:`slice_bytes_out`, :meth:`slice_tcdm_bytes`) also accept
+    #: ``int64`` arrays for their integer arguments, elementwise.  The
+    #: batch planner then sizes a whole sweep grid in one array pass
+    #: (:meth:`shape_array`); left ``False``, it calls the scalar forms
+    #: once per element, which is exact for any kernel.
+    vectorized_shapes: bool = False
 
     # ------------------------------------------------------------------
     # Shapes
@@ -212,6 +220,24 @@ class Kernel(abc.ABC):
     @abc.abstractmethod
     def slice_bytes_out(self, lo: int, hi: int, n: int) -> int:
         """Bytes DMA'd back to main memory for slice ``[lo, hi)``."""
+
+    def shape_array(self, method: typing.Callable[..., int],
+                    *args) -> numpy.ndarray:
+        """``method(*args)`` over broadcast ``int64`` argument arrays.
+
+        ``method`` is one of this kernel's shape methods, any name
+        argument bound.  One call when :attr:`vectorized_shapes` is set,
+        else one scalar call per element.
+        """
+        arrays = numpy.broadcast_arrays(
+            *(numpy.asarray(arg, dtype=numpy.int64) for arg in args))
+        if self.vectorized_shapes:
+            return numpy.broadcast_to(
+                numpy.asarray(method(*arrays), dtype=numpy.int64),
+                arrays[0].shape)
+        flat = [method(*values) for values in
+                zip(*(array.ravel().tolist() for array in arrays))]
+        return numpy.array(flat, dtype=numpy.int64).reshape(arrays[0].shape)
 
     def slice_tcdm_bytes(self, lo: int, hi: int, n: int) -> int:
         """TCDM footprint of the slice (working set held at once).
@@ -283,17 +309,21 @@ class Kernel(abc.ABC):
         """Vectorized :meth:`compute_cycles` over element-count arrays.
 
         The batched timing paths charge whole compute phases (and whole
-        sweep segments) from this in one array operation.  When a
-        subclass overrides :meth:`compute_cycles` without overriding
-        this method, the default falls back to per-element scalar calls
-        so bit-identity with the event path is preserved regardless.
+        sweep segments) from this in one array operation.  ``n`` may be
+        an array broadcasting against ``elements``.  When a subclass
+        overrides :meth:`compute_cycles` without overriding this method,
+        the default falls back to per-element scalar calls so
+        bit-identity with the event path is preserved regardless.
         """
         if type(self).compute_cycles is Kernel.compute_cycles:
             return self.timing.cycles_array(elements)
+        counts, sizes = numpy.broadcast_arrays(
+            numpy.asarray(elements, dtype=numpy.int64),
+            numpy.asarray(n, dtype=numpy.int64))
         return numpy.array(
-            [self.compute_cycles(int(count), n)
-             for count in numpy.asarray(elements).ravel()],
-            dtype=numpy.int64)
+            [self.compute_cycles(count, size) for count, size
+             in zip(counts.ravel().tolist(), sizes.ravel().tolist())],
+            dtype=numpy.int64).reshape(counts.shape)
 
     def host_compute_cycles(self, n: int) -> int:
         """Time for the host core to run the whole job itself.

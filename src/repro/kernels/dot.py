@@ -16,6 +16,7 @@ class DotKernel(Kernel):
     output_names = ("partials",)
     timing = KernelTiming(setup_cycles=22, cpe_num=3, cpe_den=2)
     host_timing = KernelTiming(setup_cycles=12, cpe_num=3, cpe_den=1)
+    vectorized_shapes = True
 
     def output_length(self, name: str, n: int, num_slices: int) -> int:
         self._check_name(name, self.output_names, "output")
@@ -25,7 +26,7 @@ class DotKernel(Kernel):
         return 2 * (hi - lo) * ELEM_BYTES
 
     def slice_bytes_out(self, lo: int, hi: int, n: int) -> int:
-        return ELEM_BYTES if hi > lo else 0
+        return ELEM_BYTES * (hi > lo)
 
     def compute_slice(self, n, scalars, inputs, work: WorkSlice):
         x = inputs["x"][work.lo:work.hi]

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import math
 
+import numpy
+
 from repro.errors import KernelError
 from repro.kernels.base import ELEM_BYTES, Kernel, KernelTiming, WorkSlice
 
@@ -26,6 +28,7 @@ class GemvKernel(Kernel):
     #: per-MAC rate applied in :meth:`compute_cycles`.
     timing = KernelTiming(setup_cycles=30, cpe_num=3, cpe_den=2)
     host_timing = KernelTiming(setup_cycles=16, cpe_num=4, cpe_den=1)
+    vectorized_shapes = True
 
     def input_length(self, name: str, n: int) -> int:
         self._check_name(name, self.input_names, "input")
@@ -33,9 +36,8 @@ class GemvKernel(Kernel):
 
     def slice_bytes_in(self, lo: int, hi: int, n: int) -> int:
         rows = hi - lo
-        if rows == 0:
-            return 0
-        return (rows * n + n) * ELEM_BYTES
+        # Empty slices stage nothing, not even the shared x vector.
+        return (rows * n + n) * ELEM_BYTES * (rows > 0)
 
     def slice_bytes_out(self, lo: int, hi: int, n: int) -> int:
         return (hi - lo) * ELEM_BYTES
@@ -54,6 +56,11 @@ class GemvKernel(Kernel):
         return self.timing.setup_cycles + math.ceil(
             self.timing.cpe_num * macs / self.timing.cpe_den
         )
+
+    def compute_cycles_array(self, elements, n) -> numpy.ndarray:
+        """Vectorized :meth:`compute_cycles`; ``n`` broadcasts too."""
+        return self.timing.cycles_array(
+            numpy.asarray(elements, dtype=numpy.int64) * n)
 
     def host_compute_cycles(self, n: int) -> int:
         """Host runs all n*n MACs at the host per-MAC rate."""

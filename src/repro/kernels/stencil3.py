@@ -23,20 +23,16 @@ class Stencil3Kernel(Kernel):
     output_names = ("y",)
     timing = KernelTiming(setup_cycles=26, cpe_num=2, cpe_den=1)
     host_timing = KernelTiming(setup_cycles=16, cpe_num=6, cpe_den=1)
+    vectorized_shapes = True
 
     def _halo(self, lo: int, hi: int, n: int) -> int:
-        """Halo elements this slice must additionally stage."""
-        halo = 0
-        if lo > 0:
-            halo += 1
-        if hi < n:
-            halo += 1
-        return halo
+        """Halo elements this slice must additionally stage (integer
+        arithmetic on the comparisons, so arrays work too)."""
+        return 1 * (lo > 0) + 1 * (hi < n)
 
     def slice_bytes_in(self, lo: int, hi: int, n: int) -> int:
-        if hi == lo:
-            return 0
-        return ((hi - lo) + self._halo(lo, hi, n)) * ELEM_BYTES
+        # Empty slices stage nothing, halo included.
+        return ((hi - lo) + self._halo(lo, hi, n)) * ELEM_BYTES * (hi > lo)
 
     def slice_bytes_out(self, lo: int, hi: int, n: int) -> int:
         return (hi - lo) * ELEM_BYTES

@@ -23,6 +23,7 @@ class VecsumKernel(Kernel):
     output_names = ("partials",)
     timing = KernelTiming(setup_cycles=20, cpe_num=1, cpe_den=1)
     host_timing = KernelTiming(setup_cycles=10, cpe_num=2, cpe_den=1)
+    vectorized_shapes = True
 
     def output_length(self, name: str, n: int, num_slices: int) -> int:
         self._check_name(name, self.output_names, "output")
@@ -32,7 +33,7 @@ class VecsumKernel(Kernel):
         return (hi - lo) * ELEM_BYTES
 
     def slice_bytes_out(self, lo: int, hi: int, n: int) -> int:
-        return ELEM_BYTES if hi > lo else 0
+        return ELEM_BYTES * (hi > lo)
 
     def compute_slice(self, n, scalars, inputs, work: WorkSlice):
         partial = numpy.sum(inputs["x"][work.lo:work.hi])

@@ -35,6 +35,7 @@ from repro.errors import OffloadError, ReproError, WorkloadError
 from repro.kernels.registry import get_kernel
 from repro.soc.config import SoCConfig
 from repro.soc.manticore import ManticoreSystem
+from repro.soc.pool import SystemPool
 
 
 @dataclasses.dataclass(frozen=True)
@@ -225,6 +226,10 @@ def characterize_platform(
     """
     m_values = [m for m in m_values if m <= config.num_clusters]
     offload_models, host_models = {}, {}
+    # One pooled system serves every host run: each lease restores the
+    # boot state, as a fresh build would, and no run leaves a dead
+    # system (main memory and every TCDM) for the cyclic collector.
+    pool = SystemPool()
     for kernel in kernels:
         grid = sweep(config, kernel, n_values, m_values, verify=False,
                      jobs=jobs)
@@ -232,8 +237,8 @@ def characterize_platform(
             grid.triples(), label=f"platform/{kernel}")
         host_points = []
         for n in n_values:
-            result = run_on_host(ManticoreSystem(config), kernel, n,
-                                 verify=False)
+            with pool.lease(config) as system:
+                result = run_on_host(system, kernel, n, verify=False)
             host_points.append((n, float(result.runtime_cycles)))
         host_models[kernel] = HostExecutionModel.fit(host_points)
     return ModelDriven(offload_models, host_models)

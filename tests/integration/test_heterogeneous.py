@@ -55,7 +55,8 @@ def test_classes_time_differently_and_cross(mixed_config):
     assert wide[(4096, 2)] < cycles[(4096, 2)]
 
 
-def test_planner_engages_per_tile_class(mixed_config):
+def test_planner_engages_per_tile_class(mixed_config, monkeypatch):
+    monkeypatch.delenv("REPRO_NAIVE_BATCH", raising=False)
     collect_run_stats()
     try:
         _group_sweeps(mixed_config)
@@ -97,9 +98,10 @@ def test_hetero_planned_path_matches_naive(mixed_config, tile_group,
 
 
 def test_ungrouped_mixed_sweep_falls_back_only_on_mixed_spans(
-        mixed_config):
+        mixed_config, monkeypatch):
     """m ≤ 4 stays inside the snitch span (plans); m > 4 crosses into
     the vecwide span (mixed: falls back, still correct)."""
+    monkeypatch.delenv("REPRO_NAIVE_BATCH", raising=False)
     collect_run_stats()
     try:
         sweep(mixed_config, "daxpy", (256, 1024), (2, 4, 6, 8),
@@ -110,5 +112,6 @@ def test_ungrouped_mixed_sweep_falls_back_only_on_mixed_spans(
     assert run["tile_class"] == "mixed"
     assert run["planned_points"] > 0        # uniform spans still plan
     assert run["batch_fallback_points"] > 0  # mixed spans fall back
+    assert run["batch_fallback_mixed_tile"] == run["batch_fallback_points"]
     total = (run["planned_points"] + run["simulated_points"])
     assert total == run["points"]

@@ -224,7 +224,9 @@ def test_zero_byte_slices_are_refused_per_point():
     register_kernel(ComputeOnlyKernel())
     try:
         kernel = get_kernel(ComputeOnlyKernel.name)
-        assert not batch.point_provable(CFG, kernel, 64, 2, {})
+        spec = batch.resolve_spec(CFG, "baseline")
+        assert not batch.predict_rows(CFG, kernel, spec, [64], [2],
+                                      {}).provable[0]
         naive, fast, executor = _ab_sweep(
             CFG, ComputeOnlyKernel.name, [64, 128], [1, 2], "baseline")
         assert fast == naive
@@ -243,6 +245,7 @@ def test_residual_check_accepts_measured_and_rejects_drift():
     guard that keeps algebra drift from ever reaching results."""
     import dataclasses
 
+    from repro.core.staging import resolve_scalars
     from repro.core.sweep import SweepPoint
 
     n, m = 96, 4
@@ -257,16 +260,26 @@ def test_residual_check_accepts_measured_and_rejects_drift():
     assert spec is not None
     prefix = batch.extract_prefix(CFG, result.trace, m)
     assert prefix is not None
-    prediction = batch.predict_point(CFG, get_kernel("daxpy"), spec,
-                                     prefix, n, m)
-    assert prediction is not None
-    assert batch.matches_trace(prediction, result.trace, measured)
+    kernel = get_kernel("daxpy")
+    rows = batch.predict_rows(CFG, kernel, spec, [n], [m],
+                              resolve_scalars(kernel, None), markers=True)
+    assert rows.provable[0]
+    assert batch.matches_trace(rows, 0, prefix, result.trace, measured)
 
-    drifted = dataclasses.replace(prediction,
-                                  end_cycle=prediction.end_cycle + 1)
-    assert not batch.matches_trace(drifted, result.trace, measured)
-    shifted = dataclasses.replace(
-        prediction,
-        completion_signalled=tuple(
-            c + 1 for c in prediction.completion_signalled))
-    assert not batch.matches_trace(shifted, result.trace, measured)
+    # The auto variant here completes through the sync unit, so one
+    # cycle on the IRQ raise moves the end cycle by one.
+    drifted = dataclasses.replace(rows, threshold=rows.threshold + 1)
+    assert not batch.matches_trace(drifted, 0, prefix, result.trace,
+                                   measured)
+    shifted = rows.markers.copy()
+    shifted[3] += 1
+    assert not batch.matches_trace(
+        dataclasses.replace(rows, markers=shifted), 0, prefix, result.trace,
+        measured)
+    # Every other per-cluster marker is checked too.
+    for slot in range(3):
+        moved = rows.markers.copy()
+        moved[slot, 0, 0] += 1
+        assert not batch.matches_trace(
+            dataclasses.replace(rows, markers=moved), 0, prefix,
+            result.trace, measured)

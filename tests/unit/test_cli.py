@@ -111,6 +111,10 @@ def _stats_run(tile_class, tile_group, *, points, planned, fallbacks,
         "calibration_store_hits": 0, "calibration_store_misses": 1,
         "cache_evictions": 0, "pool_hits": 2, "pool_builds": 1,
         "pool_restores": 2, "pool_dropped": 0, "sim_resumes": 10,
+        "batch_fallback_structural": 0, "batch_fallback_mixed_tile": 0,
+        "batch_fallback_lone_point": 0, "batch_fallback_residual": 0,
+        "batch_fallback_amo_first_poll": fallbacks,
+        "batch_fallback_irq_dispatch_done": 0,
     }
 
 
@@ -136,6 +140,24 @@ def test_stats_per_tile_class_breakdown(monkeypatch):
             "4 calibrated (engagement 100.0%)") in text
     assert ("vecwide      1 sweeps, 24 points, 10 planned, 10 fallbacks, "
             "4 calibrated (engagement 50.0%)") in text
+
+
+def test_stats_planner_line_splits_fallbacks_by_reason(monkeypatch):
+    from repro import cli
+    from repro.core import executor
+
+    runs = [_stats_run("snitch", None, points=24, planned=20, fallbacks=3,
+                       calibrated=1),
+            _stats_run("snitch", None, points=24, planned=20, fallbacks=1,
+                       calibrated=1)]
+    runs[1]["batch_fallback_amo_first_poll"] = 0
+    runs[1]["batch_fallback_residual"] = 1
+    monkeypatch.setattr(executor, "drain_run_stats", lambda: runs)
+    out = io.StringIO()
+    cli._print_run_stats(out)
+    assert ("batch plan  40 planned, 8 simulated, 4 fallbacks "
+            "(hit rate 90.9%; 1 residual; 3 amo_first_poll)") \
+        in out.getvalue()
 
 
 def test_stats_mixed_spans_count_as_their_own_class(monkeypatch):

@@ -1,5 +1,6 @@
 """Unit tests for kernel functional and timing models."""
 
+import functools
 import math
 
 import numpy
@@ -193,6 +194,44 @@ def test_empty_slice_moves_no_data(kernel):
     assert kernel.slice_bytes_in(10, 10, 64) == 0
     assert kernel.slice_bytes_out(10, 10, 64) == 0
     assert kernel.compute_cycles(0, 64) == 0
+
+
+@pytest.mark.parametrize("kernel", ALL_KERNELS, ids=lambda k: k.name)
+def test_array_shapes_equal_the_scalar_forms(kernel):
+    """Every shipped kernel declares ``vectorized_shapes``; its shape
+    methods on ``int64`` arrays must give the scalar forms elementwise
+    (empty, edge and interior slices), as must the scalar fallback."""
+    n = numpy.array([[1], [7], [64], [1000]])
+    lo = numpy.array([[0, 0, 1, 3, 7]]) * (n // 8)
+    hi = numpy.minimum(lo + numpy.array([[0, 1, 2, 5, 900]]), n)
+    assert kernel.vectorized_shapes
+    methods = [kernel.slice_bytes_in, kernel.slice_bytes_out,
+               kernel.slice_tcdm_bytes]
+    scalar = {method: numpy.array(
+        [[method(int(a), int(b), int(c)) for a, b in zip(row_lo, row_hi)]
+         for row_lo, row_hi, (c,) in zip(lo, hi, n)]) for method in methods}
+    for method in methods:
+        assert (kernel.shape_array(method, lo, hi, n)
+                == scalar[method]).all()
+    for name in kernel.output_names:
+        lengths = kernel.shape_array(
+            functools.partial(kernel.output_length, name), n, [[1, 3, 8]])
+        assert lengths.tolist() == [[kernel.output_length(name, int(c), m)
+                                     for m in (1, 3, 8)] for (c,) in n]
+    # The per-element fallback a kernel without the declaration gets.
+    kernel.vectorized_shapes = False
+    try:
+        for method in methods:
+            assert (kernel.shape_array(method, lo, hi, n)
+                    == scalar[method]).all()
+    finally:
+        del kernel.vectorized_shapes
+    # Compute timing broadcasts against N too (gemv's depends on it).
+    counts = numpy.array([[0, 1, 5, 33]])
+    expected = [[kernel.compute_cycles(int(e), int(c)) for e in counts[0]]
+                for (c,) in n]
+    assert numpy.broadcast_to(kernel.compute_cycles_array(counts, n),
+                              (4, 4)).tolist() == expected
 
 
 @pytest.mark.parametrize("kernel", ALL_KERNELS, ids=lambda k: k.name)
