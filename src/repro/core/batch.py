@@ -89,7 +89,6 @@ rows × clusters array each, before any prefix is known.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import typing
 
 import numpy
@@ -296,10 +295,13 @@ def resolve_spec(config: SoCConfig,
             spec = get_variant(variant)
     except OffloadError:
         return None
-    if ((spec.use_multicast and not config.multicast)
-            or (spec.use_hw_sync and not config.hw_sync)
-            or type(spec.dispatch) not in _PROVABLE_DISPATCH
-            or type(spec.completion) not in _PROVABLE_COMPLETION):
+    if spec.use_multicast and not config.multicast:
+        return None
+    if spec.use_hw_sync and not config.hw_sync:
+        return None
+    if type(spec.dispatch) not in _PROVABLE_DISPATCH:
+        return None
+    if type(spec.completion) not in _PROVABLE_COMPLETION:
         return None
     return spec
 
@@ -476,18 +478,14 @@ def predict_rows(config: SoCConfig, kernel: Kernel, spec: VariantSpec,
                          size)
         hi = lo + elems
         work = elems > 0
-        b_in = numpy.where(work, kernel.shape_array(
-            kernel.slice_bytes_in, lo, hi, size), 0)
-        b_out = numpy.where(work, kernel.shape_array(
-            kernel.slice_bytes_out, lo, hi, size), 0)
-        staged = sum(8 * kernel.shape_array(
-            functools.partial(kernel.input_length, name), size)
-            for name in kernel.input_names)
-        staged = staged + sum(8 * kernel.shape_array(
-            functools.partial(kernel.output_length, name), size, width)
-            for name in staged_outputs)
-        largest = kernel.shape_array(kernel.slice_tcdm_bytes, lo[:, :1],
-                                     hi[:, :1], size)
+        # Shape methods are array-safe by the Kernel contract.
+        b_in = numpy.where(work, kernel.slice_bytes_in(lo, hi, size), 0)
+        b_out = numpy.where(work, kernel.slice_bytes_out(lo, hi, size), 0)
+        staged = sum(8 * kernel.input_length(name, size)
+                     for name in kernel.input_names)
+        staged = staged + sum(8 * kernel.output_length(name, size, width)
+                              for name in staged_outputs)
+        largest = kernel.slice_tcdm_bytes(lo[:, :1], hi[:, :1], size)
         provable[rows] = (
             (largest <= tcdm_bytes)
             & (staged + _MEMORY_SLACK_BYTES <= config.main_memory_bytes)
@@ -790,15 +788,18 @@ class BatchPlanner:
         from repro.core.offload import offload
         from repro.soc.manticore import ManticoreSystem
 
-        args = (job.kernel.name, n, m)
-        kwargs = dict(scalars=job.scalars, variant=job.variant,
-                      seed=job.seed, verify=job.verify,
-                      tile_group=job.tile_group)
         if self.reuse:
             with self.pool.lease(job.config) as system:
-                result = offload(system, *args, **kwargs)
+                result = offload(system, job.kernel.name, n, m,
+                                 scalars=job.scalars, variant=job.variant,
+                                 seed=job.seed, verify=job.verify,
+                                 tile_group=job.tile_group)
         else:
-            result = offload(ManticoreSystem(job.config), *args, **kwargs)
+            system = ManticoreSystem(job.config)
+            result = offload(system, job.kernel.name, n, m,
+                             scalars=job.scalars, variant=job.variant,
+                             seed=job.seed, verify=job.verify,
+                             tile_group=job.tile_group)
         self.calibration_points += 1
         return result
 

@@ -21,7 +21,6 @@ class AxpbyKernel(Kernel):
     output_names = ("y",)
     timing = KernelTiming(setup_cycles=24, cpe_num=3, cpe_den=1)
     host_timing = KernelTiming(setup_cycles=14, cpe_num=5, cpe_den=1)
-    vectorized_shapes = True
 
     def output_alias(self, name: str) -> typing.Optional[str]:
         self._check_name(name, self.output_names, "output")

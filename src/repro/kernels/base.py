@@ -168,17 +168,15 @@ class Kernel(abc.ABC):
     #: that grounds the offload-or-not decision in measurements.
     host_timing: KernelTiming = KernelTiming(setup_cycles=12, cpe_num=3,
                                              cpe_den=1)
-    #: Whether the shape methods (:meth:`input_length`,
-    #: :meth:`output_length`, :meth:`slice_bytes_in`,
-    #: :meth:`slice_bytes_out`, :meth:`slice_tcdm_bytes`) also accept
-    #: ``int64`` arrays for their integer arguments, elementwise.  The
-    #: batch planner then sizes a whole sweep grid in one array pass
-    #: (:meth:`shape_array`); left ``False``, it calls the scalar forms
-    #: once per element, which is exact for any kernel.
-    vectorized_shapes: bool = False
 
     # ------------------------------------------------------------------
     # Shapes
+    #
+    # The shape methods (input_length, output_length, slice_bytes_in,
+    # slice_bytes_out, slice_tcdm_bytes) must also accept int64 arrays
+    # for their integer arguments and work elementwise: the batch
+    # planner sizes a whole sweep grid in one call.  Write comparisons
+    # as arithmetic (``8 * (hi > lo)``, not ``8 if hi > lo else 0``).
     # ------------------------------------------------------------------
     def input_length(self, name: str, n: int) -> int:
         """Element count of input buffer ``name`` (default: ``n``)."""
@@ -220,24 +218,6 @@ class Kernel(abc.ABC):
     @abc.abstractmethod
     def slice_bytes_out(self, lo: int, hi: int, n: int) -> int:
         """Bytes DMA'd back to main memory for slice ``[lo, hi)``."""
-
-    def shape_array(self, method: typing.Callable[..., int],
-                    *args) -> numpy.ndarray:
-        """``method(*args)`` over broadcast ``int64`` argument arrays.
-
-        ``method`` is one of this kernel's shape methods, any name
-        argument bound.  One call when :attr:`vectorized_shapes` is set,
-        else one scalar call per element.
-        """
-        arrays = numpy.broadcast_arrays(
-            *(numpy.asarray(arg, dtype=numpy.int64) for arg in args))
-        if self.vectorized_shapes:
-            return numpy.broadcast_to(
-                numpy.asarray(method(*arrays), dtype=numpy.int64),
-                arrays[0].shape)
-        flat = [method(*values) for values in
-                zip(*(array.ravel().tolist() for array in arrays))]
-        return numpy.array(flat, dtype=numpy.int64).reshape(arrays[0].shape)
 
     def slice_tcdm_bytes(self, lo: int, hi: int, n: int) -> int:
         """TCDM footprint of the slice (working set held at once).

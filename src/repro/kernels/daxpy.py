@@ -27,7 +27,6 @@ class DaxpyKernel(Kernel):
     output_names = ("y",)
     timing = KernelTiming(setup_cycles=22, cpe_num=13, cpe_den=5)
     host_timing = KernelTiming(setup_cycles=14, cpe_num=4, cpe_den=1)
-    vectorized_shapes = True
 
     def output_alias(self, name: str) -> typing.Optional[str]:
         self._check_name(name, self.output_names, "output")

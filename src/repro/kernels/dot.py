@@ -16,7 +16,6 @@ class DotKernel(Kernel):
     output_names = ("partials",)
     timing = KernelTiming(setup_cycles=22, cpe_num=3, cpe_den=2)
     host_timing = KernelTiming(setup_cycles=12, cpe_num=3, cpe_den=1)
-    vectorized_shapes = True
 
     def output_length(self, name: str, n: int, num_slices: int) -> int:
         self._check_name(name, self.output_names, "output")

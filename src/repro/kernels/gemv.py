@@ -28,7 +28,6 @@ class GemvKernel(Kernel):
     #: per-MAC rate applied in :meth:`compute_cycles`.
     timing = KernelTiming(setup_cycles=30, cpe_num=3, cpe_den=2)
     host_timing = KernelTiming(setup_cycles=16, cpe_num=4, cpe_den=1)
-    vectorized_shapes = True
 
     def input_length(self, name: str, n: int) -> int:
         self._check_name(name, self.input_names, "input")

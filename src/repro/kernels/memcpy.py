@@ -15,7 +15,6 @@ class MemcpyKernel(Kernel):
     output_names = ("y",)
     timing = KernelTiming(setup_cycles=16, cpe_num=1, cpe_den=1)
     host_timing = KernelTiming(setup_cycles=10, cpe_num=2, cpe_den=1)
-    vectorized_shapes = True
 
     def slice_bytes_in(self, lo: int, hi: int, n: int) -> int:
         return (hi - lo) * ELEM_BYTES

@@ -17,7 +17,6 @@ class ReluKernel(Kernel):
     output_names = ("y",)
     timing = KernelTiming(setup_cycles=16, cpe_num=1, cpe_den=1)
     host_timing = KernelTiming(setup_cycles=10, cpe_num=2, cpe_den=1)
-    vectorized_shapes = True
 
     def output_alias(self, name: str):
         self._check_name(name, self.output_names, "output")

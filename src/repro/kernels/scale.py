@@ -15,7 +15,6 @@ class ScaleKernel(Kernel):
     output_names = ("y",)
     timing = KernelTiming(setup_cycles=18, cpe_num=3, cpe_den=2)
     host_timing = KernelTiming(setup_cycles=12, cpe_num=3, cpe_den=1)
-    vectorized_shapes = True
 
     def slice_bytes_in(self, lo: int, hi: int, n: int) -> int:
         return (hi - lo) * ELEM_BYTES

@@ -23,7 +23,6 @@ class Stencil3Kernel(Kernel):
     output_names = ("y",)
     timing = KernelTiming(setup_cycles=26, cpe_num=2, cpe_den=1)
     host_timing = KernelTiming(setup_cycles=16, cpe_num=6, cpe_den=1)
-    vectorized_shapes = True
 
     def _halo(self, lo: int, hi: int, n: int) -> int:
         """Halo elements this slice must additionally stage (integer

@@ -23,7 +23,6 @@ class VecsumKernel(Kernel):
     output_names = ("partials",)
     timing = KernelTiming(setup_cycles=20, cpe_num=1, cpe_den=1)
     host_timing = KernelTiming(setup_cycles=10, cpe_num=2, cpe_den=1)
-    vectorized_shapes = True
 
     def output_length(self, name: str, n: int, num_slices: int) -> int:
         self._check_name(name, self.output_names, "output")

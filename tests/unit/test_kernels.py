@@ -198,34 +198,28 @@ def test_empty_slice_moves_no_data(kernel):
 
 @pytest.mark.parametrize("kernel", ALL_KERNELS, ids=lambda k: k.name)
 def test_array_shapes_equal_the_scalar_forms(kernel):
-    """Every shipped kernel declares ``vectorized_shapes``; its shape
-    methods on ``int64`` arrays must give the scalar forms elementwise
-    (empty, edge and interior slices), as must the scalar fallback."""
+    """The Kernel contract: shape methods on ``int64`` arrays give the
+    scalar forms elementwise (empty, edge and interior slices); the
+    batch planner sizes whole sweep grids this way."""
     n = numpy.array([[1], [7], [64], [1000]])
     lo = numpy.array([[0, 0, 1, 3, 7]]) * (n // 8)
     hi = numpy.minimum(lo + numpy.array([[0, 1, 2, 5, 900]]), n)
-    assert kernel.vectorized_shapes
-    methods = [kernel.slice_bytes_in, kernel.slice_bytes_out,
-               kernel.slice_tcdm_bytes]
-    scalar = {method: numpy.array(
-        [[method(int(a), int(b), int(c)) for a, b in zip(row_lo, row_hi)]
-         for row_lo, row_hi, (c,) in zip(lo, hi, n)]) for method in methods}
-    for method in methods:
-        assert (kernel.shape_array(method, lo, hi, n)
-                == scalar[method]).all()
+    for method in (kernel.slice_bytes_in, kernel.slice_bytes_out,
+                   kernel.slice_tcdm_bytes):
+        expected = [[method(int(a), int(b), int(c))
+                     for a, b in zip(row_lo, row_hi)]
+                    for row_lo, row_hi, (c,) in zip(lo, hi, n)]
+        assert numpy.broadcast_to(method(lo, hi, n),
+                                  lo.shape).tolist() == expected
+    for name in kernel.input_names:
+        assert numpy.broadcast_to(kernel.input_length(name, n),
+                                  n.shape).tolist() == [
+            [kernel.input_length(name, int(c))] for (c,) in n]
     for name in kernel.output_names:
-        lengths = kernel.shape_array(
-            functools.partial(kernel.output_length, name), n, [[1, 3, 8]])
-        assert lengths.tolist() == [[kernel.output_length(name, int(c), m)
-                                     for m in (1, 3, 8)] for (c,) in n]
-    # The per-element fallback a kernel without the declaration gets.
-    kernel.vectorized_shapes = False
-    try:
-        for method in methods:
-            assert (kernel.shape_array(method, lo, hi, n)
-                    == scalar[method]).all()
-    finally:
-        del kernel.vectorized_shapes
+        lengths = kernel.output_length(name, n, numpy.array([[1, 3, 8]]))
+        assert numpy.broadcast_to(lengths, (4, 3)).tolist() == [
+            [kernel.output_length(name, int(c), m) for m in (1, 3, 8)]
+            for (c,) in n]
     # Compute timing broadcasts against N too (gemv's depends on it).
     counts = numpy.array([[0, 1, 5, 33]])
     expected = [[kernel.compute_cycles(int(e), int(c)) for e in counts[0]]
